@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinchain import (
     GAConfig,
@@ -9,13 +11,16 @@ from spinchain import (
     PinchSpec,
     Spectrum,
     check_mirror_symmetry,
+    diagonalize_chain,
     evolve,
     fitness,
     mutation_rate,
     pinched_spectrum,
     q_factor,
     sigma_lambda,
+    transfer_fidelity,
 )
+from spinchain.ga import FITNESS_GRID_CHUNK, _evaluate_block
 
 QPST_SHIFTED = (1.0, 2.006, 3.001, 3.994, 4.326)
 
@@ -106,6 +111,49 @@ class TestFitness:
         assert np.array_equal(ind.expand_onsite(6), [1.0, 2.0, 3.0, 3.0, 2.0, 1.0])
 
 
+@st.composite
+def palindromic_blocks(draw):
+    """A few genomes for one random chain length, coupling and grid size."""
+    n = draw(st.integers(4, 12))
+    coupling = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.2, 5.0))
+    samples = draw(st.sampled_from([2, 3, 4, 401, 2001]))
+    rows = draw(st.integers(1, 3))
+    genome = st.lists(st.floats(0.0, 5.0), min_size=(n + 1) // 2,
+                      max_size=(n + 1) // 2)
+    genomes = draw(st.lists(genome, min_size=rows, max_size=rows))
+    return GAConfig(n=n, p=3, coupling=coupling, samples=samples), np.array(genomes)
+
+
+class TestFidelityGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(palindromic_blocks())
+    def test_matches_scalar_fidelity(self, block):
+        # independent path: tridiagonal eigensolver plus the scalar amplitude
+        cfg, genomes = block
+        _, f_max, _, _, _, t_best = _evaluate_block(genomes, cfg)
+        j = abs(cfg.coupling)
+        times = np.linspace(0.0, cfg.window, cfg.samples) / j
+        for row, genome in enumerate(genomes):
+            es = diagonalize_chain(GAIndividual(tuple(genome), cfg.coupling).to_chain(cfg.n))
+            grid = [transfer_fidelity(es, t) for t in times]
+            assert f_max[row] == pytest.approx(max(grid), rel=0, abs=1e-12)
+            assert transfer_fidelity(es, t_best[row] / j) \
+                == pytest.approx(f_max[row], rel=0, abs=1e-12)
+
+    def test_rows_independent_of_block(self):
+        # fitness() scores a one-row block; it must agree with the same genome
+        # scored inside a full population, on both sides of a chunk boundary
+        cfg = GAConfig(n=5, p=3)
+        genomes = np.random.default_rng(3).uniform(0.0, 5.0, (1024, cfg.genome_length))
+        block = _evaluate_block(genomes, cfg)
+        for row in (0, FITNESS_GRID_CHUNK - 1, FITNESS_GRID_CHUNK, 1023):
+            rep = fitness(GAIndividual(tuple(genomes[row]), cfg.coupling), cfg)
+            single = (rep.fitness, rep.f_max, rep.upsilon, rep.q, rep.sigma,
+                      rep.best_time)
+            for got, column in zip(single, block):
+                assert got == pytest.approx(column[row], rel=1e-12, abs=0)
+
+
 class TestEvolve:
     def test_deterministic(self):
         cfg = small_config()
@@ -145,6 +193,33 @@ class TestEvolve:
     def test_seeded_parabolic_profile(self):
         report = evolve(small_config(seed_parabolic=True, generations=2))
         assert len(report.history) == 3
+
+    def test_regression_pin(self):
+        # recorded with the cumprod phase-recursion kernel; any rewrite of the
+        # fidelity grid must reproduce the same search
+        report = evolve(small_config())
+        for row, (best_f, f_max, q, sigma) in zip(report.history, PINNED_HISTORY):
+            assert row["best_f"] == pytest.approx(best_f, rel=0, abs=1e-12)
+            assert row["best_Fmax"] == pytest.approx(f_max, rel=0, abs=1e-12)
+            assert row["best_Q"] == pytest.approx(q, rel=0, abs=1e-12)
+            assert row["best_sigma"] == pytest.approx(sigma, rel=0, abs=1e-12)
+        assert len(report.history) == len(PINNED_HISTORY)
+        assert report.best.genome == PINNED_GENOME
+
+
+# evolve(small_config()): (best_f, best_Fmax, best_Q, best_sigma) per generation
+PINNED_HISTORY = [
+    (0.9892491341015675, 0.9985048621802259, 0.386480062838063, 0.000817309932094612),
+    (0.9896743910864868, 0.9840190016573971, 0.2996465978852913, 0.017379888418144862),
+    (0.9973014478336347, 0.9988348262973069, 0.3403545167181805, 0.006474064852565076),
+    (0.9973014478336347, 0.9988348262973069, 0.3403545167181805, 0.006474064852565076),
+    (0.9982275701284253, 0.9997300549874097, 0.3345582904711831, 0.007642658540461644),
+    (0.9982275701284253, 0.9997300549874097, 0.3345582904711831, 0.007642658540461644),
+    (0.9982275701284253, 0.9997300549874097, 0.3345582904711831, 0.007642658540461644),
+    (0.9982275701284253, 0.9997300549874097, 0.3345582904711831, 0.007642658540461644),
+    (0.9982275701284253, 0.9997300549874097, 0.3345582904711831, 0.007642658540461644),
+]
+PINNED_GENOME = (4.6348462970555415, 3.3871066973909714)
 
 
 class TestConfigValidation:
