@@ -149,19 +149,18 @@ def eigendecompose(h: np.ndarray) -> EigenSystem:
         else:
             values, vectors = scipy.linalg.eigh_tridiagonal(np.diag(h), np.diag(h, 1))
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NumericalError(
-            f"tridiagonal eigensolver did not converge for matrix:\n{h!r}"
-        ) from exc
+        raise NumericalError(f"eigendecompose: eigh_tridiagonal did not converge "
+                             f"(N={n})") from exc
 
     vectors = _fix_vector_signs(vectors)
 
-    gram = vectors.T @ vectors
-    if np.abs(gram - np.eye(n)).max() > ORTHONORMALITY_TOL:
-        raise NumericalError(f"eigenvectors lost orthonormality for matrix:\n{h!r}")
+    ortho = np.abs(vectors.T @ vectors - np.eye(n)).max()
+    if ortho > ORTHONORMALITY_TOL:
+        raise NumericalError(f"eigendecompose: orthonormality error {ortho:.3e} (N={n})")
     scale = max(np.abs(h).max(), 1e-300)
     resid = np.abs(h @ vectors - vectors * values[None, :]).max()
     if resid > RESIDUAL_TOL * scale:
-        raise NumericalError(f"eigenpair residual {resid:.3e} too large for matrix:\n{h!r}")
+        raise NumericalError(f"eigendecompose: eigenpair residual {resid:.3e} (N={n})")
     return EigenSystem(values=values, vectors=vectors)
 
 

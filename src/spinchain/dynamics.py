@@ -3,11 +3,13 @@
 Evolution is done in the eigenbasis: the amplitude on site j after time t is
 sum_k phi_k(j) exp(-i lambda_k t) phi_k(start), with hbar = 1. Fidelity
 traces are sampled on the dimensionless axis t*J_max so windows are
-comparable across chains.
+comparable across chains. ``fidelity_grid`` is the one grid kernel, shared by
+``trace`` and the GA fitness (``ga._evaluate_block``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +41,35 @@ def transition_amplitude(es: EigenSystem, t: float) -> complex:
     """End-to-end transition amplitude a_{1,N}(t); its phase is nu."""
     w = es.vectors[0, :] * es.vectors[-1, :]
     return complex(np.sum(w * np.exp(-1j * es.values * t)))
+
+
+def _phase_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-i lam t) as a (rows, len(t), n) table, straight from cos and sin."""
+    theta = t[None, :, None] * lam[:, None, :]
+    table = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=table.real)
+    np.sin(theta, out=table.imag)
+    np.negative(table.imag, out=table.imag)
+    return table
+
+
+def fidelity_grid(lam: np.ndarray, w: np.ndarray, dt: float, samples: int) -> np.ndarray:
+    """|sum_k w_k exp(-i lam_k s dt)|^2 for s = 0..samples-1, per row of (rows, n).
+
+    s = a*R + r with R = ceil(sqrt(samples)): one batched matmul of an (A, n)
+    table w_k exp(-i lam_k a R dt) by an (n, R) table exp(-i lam_k r dt), both
+    straight from cos/sin (no rounding accumulates along the grid), padded to
+    A*R and cut back. Memory is O(rows * (sqrt(samples) * n + samples)).
+    """
+    fine = math.isqrt(samples - 1) + 1
+    coarse = -(-samples // fine)
+    head = _phase_table(lam, np.arange(0, coarse * fine, fine) * dt)
+    head *= w[:, None, :]
+    amp = np.matmul(head, _phase_table(lam, np.arange(fine) * dt).transpose(0, 2, 1))
+    # |amp|^2: square the float64 view in place, add the re/im pairs
+    parts = amp.view(np.float64)
+    np.square(parts, out=parts)
+    return (parts[..., 0::2] + parts[..., 1::2]).reshape(lam.shape[0], -1)[:, :samples]
 
 
 def average_fidelity(f_transfer: float) -> float:
@@ -98,8 +129,8 @@ def trace(es: EigenSystem, window: float = 50.0, samples: int | None = None,
 
     x = np.linspace(0.0, window, samples)
     w = es.vectors[0, :] * es.vectors[-1, :]
-    amp = np.exp(-1j * np.outer(x / j_max, es.values)) @ w
-    f = np.abs(amp) ** 2
+    f = fidelity_grid(es.values[None], w[None], window / (samples - 1) / j_max,
+                      samples)[0]
     a = np.sqrt(f)
     fav = a / 3.0 + f / 6.0 + 0.5
 

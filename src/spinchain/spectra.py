@@ -14,7 +14,6 @@ import numpy as np
 
 MAX_ODD_DIVISOR = 61  # candidate gap divisors 1, 3, ..., 61
 PST_TOL = 1e-9        # residual relative to the mean gap
-DIAGNOSTIC_TOL = 1e-3
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinchain import (
     ChainSpec,
+    NumericalError,
     build_hamiltonian,
     check_mirror_symmetry,
     diagonalize_chain,
@@ -13,7 +15,7 @@ from spinchain import (
     mirror_operator,
 )
 
-from conftest import random_mirror_chain, uniform_chain
+from conftest import random_mirror_chain, scaled_eigenvectors, uniform_chain
 
 
 def dispersion(n, e, j):
@@ -118,6 +120,28 @@ class TestEigendecompose:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             eigendecompose(np.zeros((3, 2)))
+
+
+def no_convergence(solve):
+    def fake(d, e):
+        raise scipy.linalg.LinAlgError("eigenvalues did not converge")
+    return fake
+
+
+class TestEigendecomposeFailures:
+    @pytest.mark.parametrize("fake, figure", [
+        (no_convergence, "did not converge"),
+        (scaled_eigenvectors, "orthonormality error 2.100e-01"),
+    ])
+    def test_short_message(self, monkeypatch, qpst_chain, fake, figure):
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                            fake(scipy.linalg.eigh_tridiagonal))
+        with pytest.raises(NumericalError) as info:
+            diagonalize_chain(qpst_chain)
+        msg = str(info.value)
+        assert "\n" not in msg
+        assert msg.startswith("eigendecompose:")
+        assert "N=5" in msg and figure in msg
 
 
 class TestMirror:

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinchain.cli import main
+
+from conftest import scaled_eigenvectors
 
 QPST_CHAIN = {
     "n": 5,
@@ -70,6 +73,13 @@ class TestSimulate:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_numerical_failure_exit_3(self, tmp_path, chain_file, monkeypatch, capsys):
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                            scaled_eigenvectors(scipy.linalg.eigh_tridiagonal))
+        assert main(["simulate", str(chain_file), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "N=5" in err
 
     def test_byte_reproducible(self, tmp_path, chain_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,8 +1,12 @@
 """Dynamics: propagation, fidelities, traces, revival bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinchain import (
     ChainSpec,
@@ -10,6 +14,7 @@ from spinchain import (
     average_fidelity,
     build_hamiltonian,
     check_pst_condition,
+    christandl_chain,
     diagonalize_chain,
     propagate,
     revival_peaks,
@@ -117,6 +122,39 @@ class TestTrace:
             trace(qpst_es, window=10.0, samples=1)
         with pytest.raises(ValueError):
             trace(qpst_es, window=10.0, j_max=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_grid_matches_scalar_path(self, data):
+        # the batched grid and transfer_fidelity both take cos/sin of lambda*t
+        # directly, so they differ only by the rounding of lambda*t
+        n = data.draw(st.integers(2, 40))
+        coupling = st.one_of(st.floats(0.2, 5.0), st.floats(-5.0, -0.2))
+        couplings = data.draw(st.lists(coupling, min_size=n - 1, max_size=n - 1))
+        onsite = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+        convention = data.draw(st.sampled_from(["negative", "positive"]))
+        chain = ChainSpec(onsite=tuple(onsite), couplings=tuple(couplings),
+                          sign_convention=convention)
+        window = data.draw(st.floats(0.0, 400.0, exclude_min=True))
+        samples = data.draw(st.sampled_from([2, 3, 4, 401, 2001]))
+        es = diagonalize_chain(chain)
+        tr = trace(es, window=window, samples=samples, j_max=chain.j_max)
+        assert tr.transfer.shape == tr.times.shape == (samples,)
+        scalar = [transfer_fidelity(es, t / chain.j_max) for t in tr.times]
+        assert np.abs(tr.transfer - scalar).max() <= 1e-10
+
+    def test_memory_bounded_by_sqrt_grid(self):
+        # 80,001 samples x 200 sites: a samples x N complex grid would be 256 MB
+        chain = christandl_chain(200, 1.0)
+        es = diagonalize_chain(chain)
+        tracemalloc.start()
+        try:
+            tr = trace(es, window=400.0, j_max=chain.j_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tr.times) == 80_001
+        assert peak < 32 * 2**20
 
 
 class TestRevivals:
