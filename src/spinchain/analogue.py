@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, EigenSystem, mirror_operator
+from .chain import ChainSpec, EigenSystem
 
 UNIFORM_TOL = 1e-9
 PINCHED_FORM_TOL = 1e-6
@@ -153,7 +153,7 @@ def position_operator(ladder: LadderPair) -> PositionOperator:
 
 def mirror_in_eigenbasis(es: EigenSystem) -> np.ndarray:
     """The mirror operator expressed on the energy eigenstates (diagonal +-1)."""
-    return es.vectors.T @ mirror_operator(es.n) @ es.vectors
+    return es.vectors.T @ es.vectors[::-1]
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 A chain is a set of on-site energies and nearest-neighbour couplings; in the
 single-excitation subspace its Hamiltonian is a real symmetric tridiagonal
-matrix. Everything downstream (dynamics, spectra, reconstruction) works with
-the ``EigenSystem`` produced here.
+matrix, held natively as its two bands (diagonal, off-diagonal); the
+eigensolver checks its eigenpairs on the bands, and ``build_hamiltonian``
+gives the dense matrix. Everything downstream (dynamics, spectra,
+reconstruction) works with the ``EigenSystem`` produced here.
 """
 
 from __future__ import annotations
@@ -101,72 +103,95 @@ class EigenSystem:
         return len(self.values)
 
 
+def _bands(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The Hamiltonian's diagonal and (signed) off-diagonal band."""
+    sign = -1.0 if spec.sign_convention == "negative" else 1.0
+    return np.asarray(spec.onsite, dtype=float), sign * np.abs(spec.couplings)
+
+
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Single-excitation Hamiltonian: tridiagonal with the chain's profile.
+    """Dense single-excitation Hamiltonian: tridiagonal with the chain's profile.
 
     Diagonal entries are the on-site energies; off-diagonal entries are the
     coupling magnitudes signed per the chain's convention.
     """
-    sign = -1.0 if spec.sign_convention == "negative" else 1.0
-    off = sign * np.abs(spec.couplings)
-    h = np.diag(np.asarray(spec.onsite, dtype=float))
+    diagonal, off = _bands(spec)
+    h = np.diag(diagonal)
     h += np.diag(off, 1) + np.diag(off, -1)
     return h
 
 
 def _fix_vector_signs(vectors: np.ndarray) -> np.ndarray:
-    # deterministic phase: first component of appreciable size made positive
-    v = vectors.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
-        if col[nz[0]] < 0.0:
-            v[:, k] = -col
-    return v
+    # deterministic phase, in place: first component of appreciable size made positive
+    mag = np.abs(vectors)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    vectors *= np.where(vectors[first, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+    return vectors
 
 
-def eigendecompose(h: np.ndarray) -> EigenSystem:
+def eigendecompose(h) -> EigenSystem:
     """Diagonalize a real symmetric tridiagonal matrix.
+
+    ``h`` is the dense N x N matrix or a tuple ``(diagonal, off_diagonal)``
+    of its bands. A dense matrix is checked for structure and reduced to its
+    bands, on which the eigenpair checks run.
 
     Returns ascending eigenvalues and orthonormal eigenvectors with a
     deterministic sign convention (first nonzero component positive). Raises
-    ``NumericalError`` if the underlying solver fails to converge.
+    ``NumericalError`` if the underlying solver fails to converge or its
+    eigenpairs fail the orthonormality or residual check.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    n = h.shape[0]
-    if n > 2 and np.abs(h - np.diag(np.diag(h))
-                        - np.diag(np.diag(h, 1), 1)
-                        - np.diag(np.diag(h, -1), -1)).max() > 0.0:
-        raise ValueError("matrix is not tridiagonal")
-    if np.abs(h - h.T).max() > 1e-12 * max(1.0, np.abs(h).max()):
+    if isinstance(h, tuple):
+        d, upper = (np.asarray(band, dtype=float) for band in h)
+        if d.ndim != 1 or upper.shape != (d.size - 1,):
+            raise ValueError(f"expected bands of lengths N and N-1, "
+                             f"got shapes {d.shape} and {upper.shape}")
+        lower = upper
+    else:
+        h = np.asarray(h, dtype=float)
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {h.shape}")
+        if np.triu(h, 2).any() or np.tril(h, -2).any():
+            raise ValueError("matrix is not tridiagonal")
+        d, upper, lower = np.diag(h), np.diag(h, 1), np.diag(h, -1)
+    n = d.size
+    h_max = max(np.abs(d).max(), np.abs(upper).max(initial=0.0),
+                np.abs(lower).max(initial=0.0))
+    if np.abs(upper - lower).max(initial=0.0) > 1e-12 * max(1.0, h_max):
         raise ValueError("matrix is not symmetric")
 
     try:
         if n == 1:
-            values, vectors = np.array([h[0, 0]]), np.eye(1)
+            values, vectors = d.copy(), np.eye(1)
         else:
-            values, vectors = scipy.linalg.eigh_tridiagonal(np.diag(h), np.diag(h, 1))
+            values, vectors = scipy.linalg.eigh_tridiagonal(d, upper)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError(f"eigendecompose: eigh_tridiagonal did not converge "
                              f"(N={n})") from exc
 
     vectors = _fix_vector_signs(vectors)
 
-    ortho = np.abs(vectors.T @ vectors - np.eye(n)).max()
-    if ortho > ORTHONORMALITY_TOL:
+    gram = vectors.T @ vectors
+    gram.flat[:: n + 1] -= 1.0
+    ortho = np.abs(gram, out=gram).max()
+    del gram  # freed before the residual's N x N buffers
+    # "not <=": NaN eigenpairs fail the checks too
+    if not ortho <= ORTHONORMALITY_TOL:
         raise NumericalError(f"eigendecompose: orthonormality error {ortho:.3e} (N={n})")
-    scale = max(np.abs(h).max(), 1e-300)
-    resid = np.abs(h @ vectors - vectors * values[None, :]).max()
-    if resid > RESIDUAL_TOL * scale:
+    # banded (H - lambda) V: (d - lambda) V plus the two shifted off-diagonal terms
+    r = np.subtract.outer(d, values)
+    r *= vectors
+    r[:-1] += upper[:, None] * vectors[1:]
+    r[1:] += lower[:, None] * vectors[:-1]
+    resid = np.abs(r, out=r).max()
+    if not resid <= RESIDUAL_TOL * max(h_max, 1e-300):
         raise NumericalError(f"eigendecompose: eigenpair residual {resid:.3e} (N={n})")
     return EigenSystem(values=values, vectors=vectors)
 
 
 def diagonalize_chain(spec: ChainSpec) -> EigenSystem:
-    """Convenience: build the Hamiltonian and eigendecompose it."""
-    return eigendecompose(build_hamiltonian(spec))
+    """Eigendecompose the chain's Hamiltonian from its bands (no dense matrix)."""
+    return eigendecompose(_bands(spec))
 
 
 def mirror_operator(n: int) -> np.ndarray:
@@ -193,15 +218,12 @@ def eigenstate_parity(es: EigenSystem, tol: float = 1e-8) -> list[int]:
     either even or odd; a state that is neither signals a non-symmetric
     chain and raises ``ValueError``.
     """
-    m = mirror_operator(es.n)
-    parities = []
-    for k in range(es.n):
-        phi = es.vectors[:, k]
-        overlap = float(phi @ m @ phi)
-        if abs(abs(overlap) - 1.0) > tol:
-            raise ValueError(
-                f"eigenstate {k} has mirror overlap {overlap:.6f}; "
-                "chain is not mirror-symmetric"
-            )
-        parities.append(1 if overlap > 0 else -1)
-    return parities
+    overlaps = np.einsum("ik,ik->k", es.vectors, es.vectors[::-1])
+    bad = np.flatnonzero(np.abs(np.abs(overlaps) - 1.0) > tol)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"eigenstate {k} has mirror overlap {overlaps[k]:.6f}; "
+            "chain is not mirror-symmetric"
+        )
+    return [1 if overlap > 0 else -1 for overlap in overlaps]

@@ -70,8 +70,7 @@ def cmd_simulate(args) -> int:
 
     out = _out_dir(args)
     lines = [header]
-    lines.extend(f"{t:.12g},{f:.12g},{a:.12g}"
-                 for t, f, a in zip(times, tr.transfer, tr.average))
+    lines.extend(map("%.12g,%.12g,%.12g".__mod__, zip(times, tr.transfer, tr.average)))
     (out / "trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_json(out / "peaks.json", {
         "peaks": [{"t": t * peak_scale, "F": f} for t, f in tr.peaks],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, build_hamiltonian, eigendecompose
+from .chain import ChainSpec, diagonalize_chain
 from .errors import NumericalError
 from .spectra import Spectrum
 
@@ -121,5 +121,5 @@ def reconstruct(s: Spectrum, sign_convention: str = "negative") -> ChainSpec:
 def roundtrip_error(s: Spectrum) -> float:
     """Max |input eigenvalue - eigenvalue of the reconstructed chain|."""
     spec = reconstruct(s)
-    es = eigendecompose(build_hamiltonian(spec))
+    es = diagonalize_chain(spec)
     return float(np.abs(es.values - np.asarray(s.values)).max())

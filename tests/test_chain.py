@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spinchain.chain
 from spinchain import (
     ChainSpec,
     NumericalError,
@@ -121,6 +124,52 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(np.zeros((3, 2)))
 
+    def test_rejects_asymmetric_tridiagonal(self):
+        h = np.diag([1.0, 2.0, 3.0]) + np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.7], -1)
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigendecompose(h)
+
+    @pytest.mark.parametrize("bands", [
+        (np.zeros(3), np.ones(3)),
+        (np.zeros(3), np.ones(1)),
+        (np.zeros((3, 1)), np.ones(2)),
+        (np.zeros(0), np.ones(0)),
+        (np.zeros(3), np.ones((2, 1))),
+    ])
+    def test_rejects_misshaped_bands(self, bands):
+        with pytest.raises(ValueError, match="bands"):
+            eigendecompose(bands)
+
+    def test_single_site_bands(self):
+        es = eigendecompose((np.array([4.2]), np.array([])))
+        assert es.values[0] == 4.2
+        assert es.vectors[0, 0] == 1.0
+
+    def test_no_dense_hamiltonian(self, monkeypatch, qpst_chain, qpst_es):
+        def refuse(spec):
+            raise AssertionError("build_hamiltonian called")
+        monkeypatch.setattr(spinchain.chain, "build_hamiltonian", refuse)
+        es = diagonalize_chain(qpst_chain)
+        assert np.array_equal(es.vectors, qpst_es.vectors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_band_and_dense_inputs_agree(self, data):
+        # one solver call on equal bands: the three entry points match bit for bit
+        n = data.draw(st.integers(2, 80))
+        coupling = st.one_of(st.floats(0.2, 5.0), st.floats(-5.0, -0.2))
+        couplings = data.draw(st.lists(coupling, min_size=n - 1, max_size=n - 1))
+        onsite = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+        convention = data.draw(st.sampled_from(["negative", "positive"]))
+        chain = ChainSpec(onsite=tuple(onsite), couplings=tuple(couplings),
+                          sign_convention=convention)
+        h = build_hamiltonian(chain)
+        results = [diagonalize_chain(chain), eigendecompose(h),
+                   eigendecompose((np.diag(h), np.diag(h, 1)))]
+        for es in results[1:]:
+            assert np.array_equal(es.values, results[0].values)
+            assert np.array_equal(es.vectors, results[0].vectors)
+
 
 def no_convergence(solve):
     def fake(d, e):
@@ -128,10 +177,26 @@ def no_convergence(solve):
     return fake
 
 
+def shifted_values(solve):
+    def fake(d, e):
+        values, vectors = solve(d, e)
+        return values + 1e-3, vectors
+    return fake
+
+
+def nan_vectors(solve):
+    def fake(d, e):
+        values, vectors = solve(d, e)
+        return values, np.full_like(vectors, np.nan)
+    return fake
+
+
 class TestEigendecomposeFailures:
     @pytest.mark.parametrize("fake, figure", [
         (no_convergence, "did not converge"),
         (scaled_eigenvectors, "orthonormality error 2.100e-01"),
+        (shifted_values, "eigenpair residual"),
+        (nan_vectors, "orthonormality error nan"),
     ])
     def test_short_message(self, monkeypatch, qpst_chain, fake, figure):
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
@@ -194,6 +259,26 @@ class TestParity:
             es = diagonalize_chain(random_mirror_chain(rng, n))
             parities = eigenstate_parity(es)
             assert parities == [(-1) ** k for k in range(n)]
+
+    def test_matches_dense_mirror_overlap(self):
+        # reference: phi @ M @ phi per state; near-degenerate doublets of
+        # larger chains mix even and odd states, and both must refuse them
+        rng = np.random.default_rng(13)
+        outcomes = set()
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            convention = "negative" if rng.random() < 0.5 else "positive"
+            es = diagonalize_chain(random_mirror_chain(rng, n, convention))
+            m = mirror_operator(n)
+            overlaps = [phi @ m @ phi for phi in es.vectors.T]
+            bad = [k for k, o in enumerate(overlaps) if abs(abs(o) - 1.0) > 1e-8]
+            if bad:
+                with pytest.raises(ValueError, match=f"eigenstate {bad[0]} has"):
+                    eigenstate_parity(es)
+            else:
+                assert eigenstate_parity(es) == [1 if o > 0 else -1 for o in overlaps]
+            outcomes.add(bool(bad))
+        assert outcomes == {True, False}
 
     def test_rejects_asymmetric_chain(self):
         es = diagonalize_chain(ChainSpec(onsite=(1.0, 2.0, 3.0), couplings=(1.0, 1.0)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from spinchain import ChainSpec, diagonalize_chain, trace
 from spinchain.cli import main
 
 from conftest import scaled_eigenvectors
@@ -52,6 +53,20 @@ class TestSimulate:
         assert lines[0] == "t,F,Fav"
         last_t = float(lines[-1].split(",")[0])
         assert last_t == pytest.approx(10.0 / 0.91, rel=1e-9)
+
+    @pytest.mark.parametrize("raw_time", [False, True])
+    def test_csv_rows_pinned(self, tmp_path, chain_file, raw_time):
+        # reference rows: the f-string formula applied to trace()'s arrays
+        out = tmp_path / "fmt"
+        argv = ["simulate", str(chain_file), "--window", "50", "--out", str(out)]
+        assert main(argv + ["--raw-time"] * raw_time) == 0
+        chain = ChainSpec.from_dict(QPST_CHAIN)
+        tr = trace(diagonalize_chain(chain), window=50.0, j_max=chain.j_max)
+        times = tr.times / chain.j_max if raw_time else tr.times
+        rows = ["t,F,Fav" if raw_time else "t_Jmax,F,Fav"]
+        rows += [f"{t:.12g},{f:.12g},{a:.12g}"
+                 for t, f, a in zip(times, tr.transfer, tr.average)]
+        assert (out / "trace.csv").read_text() == "\n".join(rows) + "\n"
 
     def test_two_site_peak(self, tmp_path):
         chain = tmp_path / "two.json"
