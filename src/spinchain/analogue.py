@@ -50,20 +50,14 @@ def node_count(es: EigenSystem) -> list[int]:
     Components below 1e-12 in magnitude inherit the previous sign, so the
     exact central zeros of odd-parity states count as single crossings.
     """
-    counts = []
-    for k in range(es.n):
-        phi = es.vectors[:, k]
-        signs = np.where(np.abs(phi) > 1e-12, np.sign(phi), 0.0)
-        last = 0.0
-        changes = 0
-        for s in signs:
-            if s == 0.0:
-                continue
-            if last != 0.0 and s != last:
-                changes += 1
-            last = s
-        counts.append(changes)
-    return counts
+    v = es.vectors
+    nonzero = np.abs(v) > 1e-12
+    # forward-fill each column with the row of its last nonzero component
+    last = np.maximum.accumulate(
+        np.where(nonzero, np.arange(es.n)[:, None], -1), axis=0)
+    signs = np.where(last >= 0, np.sign(v[np.maximum(last, 0), np.arange(es.n)]), 0.0)
+    flips = (signs[1:] != signs[:-1]) & (signs[:-1] != 0.0)
+    return flips.sum(axis=0).tolist()
 
 
 @dataclass(frozen=True)

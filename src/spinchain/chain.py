@@ -223,7 +223,8 @@ def eigenstate_parity(es: EigenSystem, tol: float = 1e-8) -> list[int]:
     if bad.size:
         k = bad[0]
         raise ValueError(
-            f"eigenstate {k} has mirror overlap {overlaps[k]:.6f}; "
+            f"eigenstate {k} has |mirror overlap| - 1 = "
+            f"{abs(overlaps[k]) - 1.0:.3e} (tol {tol:g}, N={es.n}); "
             "chain is not mirror-symmetric"
         )
     return [1 if overlap > 0 else -1 for overlap in overlaps]

@@ -43,7 +43,7 @@ def transition_amplitude(es: EigenSystem, t: float) -> complex:
     return complex(np.sum(w * np.exp(-1j * es.values * t)))
 
 
-def _phase_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _cos_sin_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(-i lam t) as a (rows, len(t), n) table, straight from cos and sin."""
     theta = t[None, :, None] * lam[:, None, :]
     table = np.empty(theta.shape, dtype=complex)
@@ -53,19 +53,35 @@ def _phase_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     return table
 
 
+def _phase_table(lam: np.ndarray, step: float, count: int) -> np.ndarray:
+    """exp(-i lam m step) for m = 0..count-1 as a (rows, count, n) table.
+
+    m = u*q + v with q = ceil(sqrt(count)): each entry is one product of two
+    exact cos/sin values, exp(-i lam u q step) * exp(-i lam v step), so no
+    rounding accumulates along m and each eigenvalue costs 2*sqrt(count)
+    cos/sin calls instead of count.
+    """
+    q = math.isqrt(count - 1) + 1
+    outer = _cos_sin_table(lam, np.arange(0, count, q) * step)
+    inner = _cos_sin_table(lam, np.arange(q) * step)
+    table = outer[:, :, None, :] * inner[:, None, :, :]
+    return table.reshape(lam.shape[0], -1, lam.shape[1])[:, :count]
+
+
 def fidelity_grid(lam: np.ndarray, w: np.ndarray, dt: float, samples: int) -> np.ndarray:
     """|sum_k w_k exp(-i lam_k s dt)|^2 for s = 0..samples-1, per row of (rows, n).
 
     s = a*R + r with R = ceil(sqrt(samples)): one batched matmul of an (A, n)
-    table w_k exp(-i lam_k a R dt) by an (n, R) table exp(-i lam_k r dt), both
-    straight from cos/sin (no rounding accumulates along the grid), padded to
-    A*R and cut back. Memory is O(rows * (sqrt(samples) * n + samples)).
+    table w_k exp(-i lam_k a R dt) by an (n, R) table exp(-i lam_k r dt),
+    padded to A*R and cut back. Each phase-table entry is one product of two
+    exact cos/sin values (``_phase_table``), so no rounding accumulates along
+    the grid. Memory is O(rows * (sqrt(samples) * n + samples)).
     """
     fine = math.isqrt(samples - 1) + 1
     coarse = -(-samples // fine)
-    head = _phase_table(lam, np.arange(0, coarse * fine, fine) * dt)
+    head = _phase_table(lam, fine * dt, coarse)
     head *= w[:, None, :]
-    amp = np.matmul(head, _phase_table(lam, np.arange(fine) * dt).transpose(0, 2, 1))
+    amp = np.matmul(head, _phase_table(lam, dt, fine).transpose(0, 2, 1))
     # |amp|^2: square the float64 view in place, add the re/im pairs
     parts = amp.view(np.float64)
     np.square(parts, out=parts)
@@ -131,6 +147,8 @@ def trace(es: EigenSystem, window: float = 50.0, samples: int | None = None,
     w = es.vectors[0, :] * es.vectors[-1, :]
     f = fidelity_grid(es.values[None], w[None], window / (samples - 1) / j_max,
                       samples)[0]
+    # below the worst-case rounding of the n-term amplitude sum F is noise
+    f[f < (es.n * np.finfo(float).eps * np.abs(w).sum()) ** 2] = 0.0
     a = np.sqrt(f)
     fav = a / 3.0 + f / 6.0 + 0.5
 

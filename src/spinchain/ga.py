@@ -17,7 +17,7 @@ from .chain import ChainSpec
 from .dynamics import fidelity_grid
 from .spectra import Spectrum
 
-FITNESS_GRID_CHUNK = 256
+FITNESS_GRID_CHUNK = 32  # a 32-genome amp block (~1 MB at 2001 samples) stays in L2
 
 
 @dataclass(frozen=True)

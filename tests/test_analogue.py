@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinchain import (
     ChainSpec,
+    EigenSystem,
     PinchSpec,
     diagonalize_chain,
     pinched_spectrum,
@@ -21,7 +24,25 @@ from spinchain.analogue import (
     shifted_values,
 )
 
-from conftest import uniform_chain
+from conftest import random_mirror_chain, uniform_chain
+
+
+def node_count_loop(es):
+    """Reference node count: walk each state, skipping components below 1e-12."""
+    counts = []
+    for k in range(es.n):
+        phi = es.vectors[:, k]
+        signs = np.where(np.abs(phi) > 1e-12, np.sign(phi), 0.0)
+        last = 0.0
+        changes = 0
+        for s in signs:
+            if s == 0.0:
+                continue
+            if last != 0.0 and s != last:
+                changes += 1
+            last = s
+        counts.append(changes)
+    return counts
 
 
 def pst_chain(n, p):
@@ -69,12 +90,28 @@ class TestNodeCount:
         assert node_count(es) == list(range(9))
 
     def test_law_over_mirror_chains(self):
-        from conftest import random_mirror_chain
         rng = np.random.default_rng(13)
         for _ in range(10):
             n = int(rng.integers(2, 12))
             es = diagonalize_chain(random_mirror_chain(rng, n))
             assert node_count(es) == list(range(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 90), st.integers(0, 2**32 - 1), st.booleans(),
+           st.floats(0.0, 0.5))
+    def test_matches_loop(self, n, seed, central_zeros, zero_share):
+        # random mirror chains; optionally the odd states' central components
+        # set to exact zeros, plus a random share of components zeroed
+        rng = np.random.default_rng(seed)
+        es = diagonalize_chain(random_mirror_chain(rng, n))
+        vectors = es.vectors.copy()
+        if central_zeros and n % 2:
+            vectors[n // 2, 1::2] = 0.0
+        vectors[rng.random(vectors.shape) < zero_share] = 0.0
+        es = EigenSystem(values=es.values, vectors=vectors)
+        counts = node_count(es)
+        assert counts == node_count_loop(es)
+        assert all(type(c) is int for c in counts)
 
 
 class TestLadder:

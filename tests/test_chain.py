@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import spinchain.chain
 from spinchain import (
     ChainSpec,
+    EigenSystem,
     NumericalError,
     build_hamiltonian,
     check_mirror_symmetry,
@@ -284,3 +285,25 @@ class TestParity:
         es = diagonalize_chain(ChainSpec(onsite=(1.0, 2.0, 3.0), couplings=(1.0, 1.0)))
         with pytest.raises(ValueError):
             eigenstate_parity(es)
+
+    def test_message_names_the_failing_figure(self):
+        es = diagonalize_chain(ChainSpec(onsite=(1.0, 2.0, 3.0), couplings=(1.0, 1.0)))
+        with pytest.raises(ValueError) as err:
+            eigenstate_parity(es)
+        assert str(err.value) == (
+            "eigenstate 0 has |mirror overlap| - 1 = -3.333e-01 (tol 1e-08, N=3); "
+            "chain is not mirror-symmetric")
+
+    def test_message_resolves_a_mixed_doublet(self):
+        # an even/odd pair rotated so that each overlap is 1 - 3e-8: the old
+        # six-decimal message printed it as 1.000000
+        theta = 0.5 * np.arccos(1.0 - 3e-8)
+        even, odd = np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)
+        vectors = np.column_stack([np.cos(theta) * even + np.sin(theta) * odd,
+                                   np.cos(theta) * odd - np.sin(theta) * even])
+        es = EigenSystem(values=np.array([-1.0, 1.0]), vectors=vectors)
+        with pytest.raises(ValueError) as err:
+            eigenstate_parity(es)
+        assert str(err.value) == (
+            "eigenstate 0 has |mirror overlap| - 1 = -3.000e-08 (tol 1e-08, N=2); "
+            "chain is not mirror-symmetric")

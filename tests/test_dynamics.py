@@ -23,6 +23,8 @@ from spinchain import (
     transition_amplitude,
 )
 
+from spinchain.dynamics import fidelity_grid
+
 from conftest import uniform_chain
 
 
@@ -155,6 +157,36 @@ class TestTrace:
             tracemalloc.stop()
         assert len(tr.times) == 80_001
         assert peak < 32 * 2**20
+
+
+    def test_round_off_floored_to_zero(self):
+        # at window 50 the excitation has not left the first sites of a
+        # 1024-site Christandl chain: every F is below the rounding bound
+        chain = christandl_chain(1024, 1.0)
+        tr = trace(diagonalize_chain(chain), window=50.0, j_max=chain.j_max)
+        assert np.all(tr.transfer == 0.0)
+        assert np.all(tr.average == 0.5)
+
+
+class TestFidelityGridKernel:
+    @pytest.mark.parametrize("rows", [1, 33])
+    @pytest.mark.parametrize("n", [1, 4, 9, 64])
+    @pytest.mark.parametrize("samples", [2, 3, 5, 17, 2001, 10001, 80001])
+    def test_matches_direct_exponential(self, samples, n, rows):
+        # neither sqrt split is exact for these counts, so both tables pad
+        rng = np.random.default_rng(samples * 1000 + n * 10 + rows)
+        lam = np.sort(rng.uniform(-3.0, 3.0, (rows, n)), axis=1)
+        w = rng.dirichlet(np.ones(n), rows) * rng.choice([-1.0, 1.0], (rows, n))
+        dt = 400.0 / (samples - 1)
+        f = fidelity_grid(lam, w, dt, samples)
+        assert f.shape == (rows, samples)
+        # the direct grid in blocks of 8192 times, to keep its memory small
+        blocks = np.array_split(np.arange(samples) * dt, -(-samples // 8192))
+        for row in range(rows):
+            direct = np.concatenate([
+                np.abs(np.exp(-1j * np.outer(t, lam[row])) @ w[row]) ** 2
+                for t in blocks])
+            assert np.abs(f[row] - direct).max() <= 1e-12
 
 
 class TestRevivals:

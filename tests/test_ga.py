@@ -154,6 +154,23 @@ class TestFidelityGrid:
                 assert got == pytest.approx(column[row], rel=1e-12, abs=0)
 
 
+    @pytest.mark.parametrize("n, p", [(4, 3), (5, 3), (9, 9)])
+    def test_block_matches_direct_grid(self, n, p):
+        # a full seeded population against the direct exp(-i lam t) grid of
+        # each genome's own tridiagonal eigensystem
+        cfg = GAConfig(n=n, p=p)
+        genomes = np.random.default_rng(n).uniform(0.0, 5.0, (1024, cfg.genome_length))
+        _, f_max, _, _, _, t_best = _evaluate_block(genomes, cfg)
+        t = np.arange(cfg.samples) * (cfg.window / (cfg.samples - 1))
+        for row, genome in enumerate(genomes):
+            es = diagonalize_chain(GAIndividual(tuple(genome)).to_chain(n))
+            w = es.vectors[0] * es.vectors[-1]
+            direct = np.abs(np.exp(-1j * np.outer(t, es.values)) @ w) ** 2
+            best = int(np.argmax(direct))
+            assert f_max[row] == pytest.approx(direct[best], rel=0, abs=1e-12)
+            assert t_best[row] == best * (cfg.window / (cfg.samples - 1))
+
+
 class TestEvolve:
     def test_deterministic(self):
         cfg = small_config()
