@@ -4,8 +4,10 @@ A chain is a set of on-site energies and nearest-neighbour couplings; in the
 single-excitation subspace its Hamiltonian is a real symmetric tridiagonal
 matrix, held natively as its two bands (diagonal, off-diagonal); the
 eigensolver checks its eigenpairs on the bands, and ``build_hamiltonian``
-gives the dense matrix. Everything downstream (dynamics, spectra,
-reconstruction) works with the ``EigenSystem`` produced here.
+gives the dense matrix. An exactly palindromic chain is solved as its even
+and odd half-size blocks (basis (e_i +- e_{N+1-i})/sqrt(2)), so its
+eigenvectors are exact mirror eigenstates. Everything downstream (dynamics,
+spectra, reconstruction) works with the ``EigenSystem`` produced here.
 """
 
 from __future__ import annotations
@@ -121,12 +123,92 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return h
 
 
-def _fix_vector_signs(vectors: np.ndarray) -> np.ndarray:
-    # deterministic phase, in place: first component of appreciable size made positive
-    mag = np.abs(vectors)
+def _fix_vector_signs(vectors: np.ndarray, rows: int | None = None) -> np.ndarray:
+    # deterministic phase, in place: first component of appreciable size made
+    # positive; the first ``rows`` rows decide when they hold each column's maximum
+    mag = np.abs(vectors[:rows])
     first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
     vectors *= np.where(vectors[first, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
     return vectors
+
+
+def _solve_checked(d: np.ndarray, upper: np.ndarray, lower: np.ndarray, h_max: float,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the tridiagonal bands (d, upper, lower), checked on the bands.
+
+    ``h_max`` scales the residual bound and ``n`` is the size of the chain
+    named in error messages (a mirror block is half of it).
+    """
+    try:
+        if d.size == 1:
+            values, vectors = d.copy(), np.eye(1)
+        else:
+            values, vectors = scipy.linalg.eigh_tridiagonal(d, upper)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        raise NumericalError(f"eigendecompose: eigh_tridiagonal did not converge "
+                             f"(N={n})") from exc
+
+    gram = vectors.T @ vectors
+    gram.flat[:: d.size + 1] -= 1.0
+    ortho = np.abs(gram, out=gram).max()
+    del gram  # freed before the residual's buffers
+    # "not <=": NaN eigenpairs fail the checks too
+    if not ortho <= ORTHONORMALITY_TOL:
+        raise NumericalError(f"eigendecompose: orthonormality error {ortho:.3e} (N={n})")
+    # banded (H - lambda) V: (d - lambda) V plus the two shifted off-diagonal terms
+    r = np.subtract.outer(d, values)
+    r *= vectors
+    r[:-1] += upper[:, None] * vectors[1:]
+    r[1:] += lower[:, None] * vectors[:-1]
+    resid = np.abs(r, out=r).max()
+    if not resid <= RESIDUAL_TOL * max(h_max, 1e-300):
+        raise NumericalError(f"eigendecompose: eigenpair residual {resid:.3e} (N={n})")
+    return values, vectors
+
+
+def _solve_mirror(d: np.ndarray, e: np.ndarray, h_max: float) -> EigenSystem:
+    """Eigensystem of a palindromic chain from its even and odd half-size blocks.
+
+    In the basis (e_i +- e_{N+1-i})/sqrt(2) the Hamiltonian is block diagonal.
+    N = 2m: both blocks are (d[:m], e[:m-1]) with last diagonal d[m-1] +- e[m-1].
+    N = 2m+1: the even block is (d[:m+1], e[:m]) with its last coupling times
+    sqrt(2) (it reaches the centre site), the odd block is (d[:m], e[:m-1]).
+    """
+    n = d.size
+    m = n // 2
+    if n % 2:
+        even_d, even_e = d[: m + 1], e[:m].copy()
+        even_e[-1] *= np.sqrt(2.0)
+        odd_d = d[:m]
+    else:
+        even_d, even_e = d[:m].copy(), e[: m - 1]
+        odd_d = even_d.copy()
+        even_d[-1] += e[m - 1]
+        odd_d[-1] -= e[m - 1]
+    even_values, even = _solve_checked(even_d, even_e, even_e, h_max, n)
+    odd_values, odd = _solve_checked(odd_d, e[: m - 1], e[: m - 1], h_max, n)
+
+    values = np.concatenate([even_values, odd_values])
+    order = np.argsort(values, kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    even_cols, odd_cols = column[: even_values.size], column[even_values.size:]
+
+    # each block vector u becomes (u[:m], +-u[m-1::-1]) / sqrt(2), with the even
+    # block's u[m] as the centre entry for odd N; written straight into place
+    vectors = np.empty((n, n))
+    even[:m] *= np.sqrt(0.5)
+    odd *= np.sqrt(0.5)
+    vectors[:m, even_cols] = even[:m]
+    vectors[n - m:, even_cols] = even[m - 1:: -1]
+    if n % 2:
+        vectors[m, even_cols] = even[m]
+        vectors[m, odd_cols] = 0.0
+    vectors[:m, odd_cols] = odd
+    np.negative(odd, out=odd)
+    vectors[n - m:, odd_cols] = odd[::-1]
+    del even, odd  # freed before the sign fix's buffers
+    return EigenSystem(values=values[order], vectors=_fix_vector_signs(vectors, n - m))
 
 
 def eigendecompose(h) -> EigenSystem:
@@ -135,6 +217,10 @@ def eigendecompose(h) -> EigenSystem:
     ``h`` is the dense N x N matrix or a tuple ``(diagonal, off_diagonal)``
     of its bands. A dense matrix is checked for structure and reduced to its
     bands, on which the eigenpair checks run.
+
+    A palindromic matrix (bands equal to their reversals, exactly) is solved
+    as its even and odd half-size blocks, each checked on its own bands with
+    the same tolerances; its eigenvectors are then exact mirror eigenstates.
 
     Returns ascending eigenvalues and orthonormal eigenvectors with a
     deterministic sign convention (first nonzero component positive). Raises
@@ -160,33 +246,11 @@ def eigendecompose(h) -> EigenSystem:
     if np.abs(upper - lower).max(initial=0.0) > 1e-12 * max(1.0, h_max):
         raise ValueError("matrix is not symmetric")
 
-    try:
-        if n == 1:
-            values, vectors = d.copy(), np.eye(1)
-        else:
-            values, vectors = scipy.linalg.eigh_tridiagonal(d, upper)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NumericalError(f"eigendecompose: eigh_tridiagonal did not converge "
-                             f"(N={n})") from exc
-
-    vectors = _fix_vector_signs(vectors)
-
-    gram = vectors.T @ vectors
-    gram.flat[:: n + 1] -= 1.0
-    ortho = np.abs(gram, out=gram).max()
-    del gram  # freed before the residual's N x N buffers
-    # "not <=": NaN eigenpairs fail the checks too
-    if not ortho <= ORTHONORMALITY_TOL:
-        raise NumericalError(f"eigendecompose: orthonormality error {ortho:.3e} (N={n})")
-    # banded (H - lambda) V: (d - lambda) V plus the two shifted off-diagonal terms
-    r = np.subtract.outer(d, values)
-    r *= vectors
-    r[:-1] += upper[:, None] * vectors[1:]
-    r[1:] += lower[:, None] * vectors[:-1]
-    resid = np.abs(r, out=r).max()
-    if not resid <= RESIDUAL_TOL * max(h_max, 1e-300):
-        raise NumericalError(f"eigendecompose: eigenpair residual {resid:.3e} (N={n})")
-    return EigenSystem(values=values, vectors=vectors)
+    if (n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(upper, upper[::-1])
+            and np.array_equal(upper, lower)):
+        return _solve_mirror(d, upper, h_max)
+    values, vectors = _solve_checked(d, upper, lower, h_max, n)
+    return EigenSystem(values=values, vectors=_fix_vector_signs(vectors))
 
 
 def diagonalize_chain(spec: ChainSpec) -> EigenSystem:

@@ -24,15 +24,13 @@ CROSS_CHECK_TOL = 1e-8
 def compute_weights(values) -> np.ndarray:
     """Reconstruction weights from eigenvalue spacings, one per eigenvalue."""
     lam = np.asarray(values, dtype=float)
-    n = len(lam)
     spread = lam[-1] - lam[0]
     if np.diff(lam).min() <= 1e-12 * spread:
         raise ValueError("spectrum has (numerically) repeated eigenvalues; "
                          "reconstruction is undefined")
-    w = np.empty(n)
-    for k in range(n):
-        w[k] = 1.0 / np.prod(np.abs(lam[k] - np.delete(lam, k)))
-    return w
+    gaps = np.abs(np.subtract.outer(lam, lam))
+    np.fill_diagonal(gaps, 1.0)
+    return 1.0 / np.prod(gaps, axis=1)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinchain import (
     PinchSpec,
@@ -16,6 +18,15 @@ from spinchain import (
     roundtrip_error,
     spectral_symmetry_check,
 )
+
+
+def compute_weights_loop(values):
+    """The original one-eigenvalue-at-a-time weights, kept as a reference."""
+    lam = np.asarray(values, dtype=float)
+    w = np.empty(len(lam))
+    for k in range(len(lam)):
+        w[k] = 1.0 / np.prod(np.abs(lam[k] - np.delete(lam, k)))
+    return w
 
 
 def three_level(p):
@@ -35,6 +46,22 @@ class TestWeights:
 
     def test_two_level(self):
         assert np.array_equal(compute_weights((0.0, 1.0)), [1.0, 1.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=200, unique=True))
+    def test_matches_loop_bit_for_bit(self, values):
+        lam = np.sort(values)
+        if np.diff(lam).min() <= 1e-12 * (lam[-1] - lam[0]):
+            return
+        # long spectra overflow the weights to inf or 0, the same in both
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            assert np.array_equal(compute_weights(lam), compute_weights_loop(lam))
+
+    def test_pinched_family_matches_loop_bit_for_bit(self):
+        for n in range(4, 86, 9):
+            for p in (3, 13):
+                lam = pinched_spectrum(PinchSpec(n=n, p=p, alpha=0.5)).values
+                assert np.array_equal(compute_weights(lam), compute_weights_loop(lam))
 
     def test_repeated_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
