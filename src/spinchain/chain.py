@@ -6,8 +6,11 @@ matrix, held natively as its two bands (diagonal, off-diagonal); the
 eigensolver checks its eigenpairs on the bands, and ``build_hamiltonian``
 gives the dense matrix. An exactly palindromic chain is solved as its even
 and odd half-size blocks (basis (e_i +- e_{N+1-i})/sqrt(2)), so its
-eigenvectors are exact mirror eigenstates. Everything downstream (dynamics,
-spectra, reconstruction) works with the ``EigenSystem`` produced here.
+eigenvectors are exact mirror eigenstates. The solver works on eigenvectors
+stored as rows: checks run a row per eigenvector, and a mirror chain's top
+half is written as whole rows, signed once and mirrored into the bottom half.
+Everything downstream (dynamics, spectra, reconstruction) works with the
+``EigenSystem`` produced here.
 """
 
 from __future__ import annotations
@@ -95,7 +98,11 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues (ascending) and orthonormal real eigenvectors, by column."""
+    """Eigenvalues (ascending) and orthonormal real eigenvectors, by column.
+
+    ``vectors[:, k]`` is the eigenvector of ``values[k]``; ``eigendecompose``
+    returns it in a Fortran-ordered array, so each eigenvector is contiguous.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
@@ -123,21 +130,29 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return h
 
 
-def _fix_vector_signs(vectors: np.ndarray, rows: int | None = None) -> np.ndarray:
-    # deterministic phase, in place: first component of appreciable size made
-    # positive; the first ``rows`` rows decide when they hold each column's maximum
-    mag = np.abs(vectors[:rows])
-    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
-    vectors *= np.where(vectors[first, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
-    return vectors
+def _fix_row_signs(rows: np.ndarray) -> None:
+    # deterministic phase, in place on eigenvectors stored as rows: the first
+    # component above 1e-12 of the row's largest made positive. The rows are
+    # (halves of) checked unit vectors, so no entry exceeds 2 and a first
+    # component above 2e-12 decides; only the other rows need their maximum.
+    lead = rows[:, 0].copy()
+    small = np.flatnonzero(np.abs(lead) <= 2e-12)
+    if small.size:
+        mag = rows[small]
+        np.abs(mag, out=mag)
+        first = np.argmax(mag > 1e-12 * mag.max(axis=1, keepdims=True), axis=1)
+        lead[small] = rows[small, first]
+    np.negative(rows, out=rows, where=(lead < 0.0)[:, None])
 
 
 def _solve_checked(d: np.ndarray, upper: np.ndarray, lower: np.ndarray, h_max: float,
                    n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the tridiagonal bands (d, upper, lower), checked on the bands.
 
-    ``h_max`` scales the residual bound and ``n`` is the size of the chain
-    named in error messages (a mirror block is half of it).
+    Returns the eigenvalues and the eigenvectors as rows (the transpose of
+    the solver's Fortran-ordered columns, so C-ordered). ``h_max`` scales the
+    residual bound and ``n`` is the size of the chain named in error messages
+    (a mirror block is half of it).
     """
     try:
         if d.size == 1:
@@ -155,15 +170,18 @@ def _solve_checked(d: np.ndarray, upper: np.ndarray, lower: np.ndarray, h_max: f
     # "not <=": NaN eigenpairs fail the checks too
     if not ortho <= ORTHONORMALITY_TOL:
         raise NumericalError(f"eigendecompose: orthonormality error {ortho:.3e} (N={n})")
-    # banded (H - lambda) V: (d - lambda) V plus the two shifted off-diagonal terms
-    r = np.subtract.outer(d, values)
-    r *= vectors
-    r[:-1] += upper[:, None] * vectors[1:]
-    r[1:] += lower[:, None] * vectors[:-1]
+    # banded (H - lambda) v, a row per eigenvector v: (d - lambda) v plus the
+    # two shifted off-diagonal terms
+    vt = vectors.T
+    r = d - values[:, None]
+    r *= vt
+    shifted = np.multiply(vt[:, 1:], upper)
+    r[:, :-1] += shifted
+    r[:, 1:] += np.multiply(vt[:, :-1], lower, out=shifted)
     resid = np.abs(r, out=r).max()
     if not resid <= RESIDUAL_TOL * max(h_max, 1e-300):
         raise NumericalError(f"eigendecompose: eigenpair residual {resid:.3e} (N={n})")
-    return values, vectors
+    return values, vt
 
 
 def _solve_mirror(d: np.ndarray, e: np.ndarray, h_max: float) -> EigenSystem:
@@ -173,6 +191,12 @@ def _solve_mirror(d: np.ndarray, e: np.ndarray, h_max: float) -> EigenSystem:
     N = 2m: both blocks are (d[:m], e[:m-1]) with last diagonal d[m-1] +- e[m-1].
     N = 2m+1: the even block is (d[:m+1], e[:m]) with its last coupling times
     sqrt(2) (it reaches the centre site), the odd block is (d[:m], e[:m-1]).
+
+    The eigenvectors are assembled as the rows of one N x N array: each block
+    vector fills the top half of its row (sorted by eigenvalue) with whole-row
+    copies, the sign rule runs once on that top half, which holds every
+    vector's largest component, and the bottom half is the top half reversed,
+    negated for odd rows.
     """
     n = d.size
     m = n // 2
@@ -190,25 +214,26 @@ def _solve_mirror(d: np.ndarray, e: np.ndarray, h_max: float) -> EigenSystem:
 
     values = np.concatenate([even_values, odd_values])
     order = np.argsort(values, kind="stable")
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
-    even_cols, odd_cols = column[: even_values.size], column[even_values.size:]
+    row = np.empty(n, dtype=np.intp)
+    row[order] = np.arange(n)
+    even_rows, odd_rows = row[: even_values.size], row[even_values.size:]
 
-    # each block vector u becomes (u[:m], +-u[m-1::-1]) / sqrt(2), with the even
-    # block's u[m] as the centre entry for odd N; written straight into place
-    vectors = np.empty((n, n))
-    even[:m] *= np.sqrt(0.5)
-    odd *= np.sqrt(0.5)
-    vectors[:m, even_cols] = even[:m]
-    vectors[n - m:, even_cols] = even[m - 1:: -1]
+    # row k holds its block vector u as (u[:m], +-u[m-1::-1]) / sqrt(2), with the
+    # even block's unscaled u[m] as the centre entry for odd N
+    vt = np.empty((n, n))
     if n % 2:
-        vectors[m, even_cols] = even[m]
-        vectors[m, odd_cols] = 0.0
-    vectors[:m, odd_cols] = odd
-    np.negative(odd, out=odd)
-    vectors[n - m:, odd_cols] = odd[::-1]
+        vt[even_rows, m] = even[:, m]
+        vt[odd_rows, m] = 0.0
+    even *= np.sqrt(0.5)
+    odd *= np.sqrt(0.5)
+    vt[even_rows, :m] = even[:, :m]
+    vt[odd_rows, :m] = odd
     del even, odd  # freed before the sign fix's buffers
-    return EigenSystem(values=values[order], vectors=_fix_vector_signs(vectors, n - m))
+    # the top half holds each vector's largest component
+    _fix_row_signs(vt[:, : n - m])
+    parity = np.where(order < even_values.size, 1.0, -1.0)[:, None]
+    np.multiply(vt[:, m - 1:: -1], parity, out=vt[:, n - m:])
+    return EigenSystem(values=values[order], vectors=vt.T)
 
 
 def eigendecompose(h) -> EigenSystem:
@@ -241,16 +266,18 @@ def eigendecompose(h) -> EigenSystem:
             raise ValueError("matrix is not tridiagonal")
         d, upper, lower = np.diag(h), np.diag(h, 1), np.diag(h, -1)
     n = d.size
-    h_max = max(np.abs(d).max(), np.abs(upper).max(initial=0.0),
-                np.abs(lower).max(initial=0.0))
-    if np.abs(upper - lower).max(initial=0.0) > 1e-12 * max(1.0, h_max):
-        raise ValueError("matrix is not symmetric")
+    h_max = max(np.abs(d).max(), np.abs(upper).max(initial=0.0))
+    if lower is not upper:  # a dense matrix's two off-diagonals
+        h_max = max(h_max, np.abs(lower).max(initial=0.0))
+        if np.abs(upper - lower).max(initial=0.0) > 1e-12 * max(1.0, h_max):
+            raise ValueError("matrix is not symmetric")
 
     if (n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(upper, upper[::-1])
-            and np.array_equal(upper, lower)):
+            and (lower is upper or np.array_equal(upper, lower))):
         return _solve_mirror(d, upper, h_max)
-    values, vectors = _solve_checked(d, upper, lower, h_max, n)
-    return EigenSystem(values=values, vectors=_fix_vector_signs(vectors))
+    values, vt = _solve_checked(d, upper, lower, h_max, n)
+    _fix_row_signs(vt)
+    return EigenSystem(values=values, vectors=vt.T)
 
 
 def diagonalize_chain(spec: ChainSpec) -> EigenSystem:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinchain.chain
@@ -52,6 +52,75 @@ def assert_first_component_positive(vectors):
     mag = np.abs(vectors)
     first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
     assert np.all(vectors[first, np.arange(vectors.shape[1])] > 0.0)
+
+
+def fix_vector_signs(vectors, rows=None):
+    """Column-layout sign rule, in place: each column's first component above
+    1e-12 of its largest made positive, the first ``rows`` rows deciding."""
+    mag = np.abs(vectors[:rows])
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    vectors *= np.where(vectors[first, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+    return vectors
+
+
+def solve_mirror_columns(d, e):
+    """The column-scatter mirror solve, kept as the bit-identity reference.
+
+    Block vectors are scattered column by column into a C-ordered N x N
+    array, then one sign pass runs over the whole matrix.
+    """
+    def block(bd, be):
+        return (bd.copy(), np.eye(1)) if bd.size == 1 else scipy.linalg.eigh_tridiagonal(bd, be)
+    n = d.size
+    m = n // 2
+    if n % 2:
+        even_d, even_e = d[: m + 1], e[:m].copy()
+        even_e[-1] *= np.sqrt(2.0)
+        odd_d = d[:m]
+    else:
+        even_d, even_e = d[:m].copy(), e[: m - 1]
+        odd_d = even_d.copy()
+        even_d[-1] += e[m - 1]
+        odd_d[-1] -= e[m - 1]
+    even_values, even = block(even_d, even_e)
+    odd_values, odd = block(odd_d, e[: m - 1])
+
+    values = np.concatenate([even_values, odd_values])
+    order = np.argsort(values, kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    even_cols, odd_cols = column[: even_values.size], column[even_values.size:]
+    vectors = np.empty((n, n))
+    even[:m] *= np.sqrt(0.5)
+    odd *= np.sqrt(0.5)
+    vectors[:m, even_cols] = even[:m]
+    vectors[n - m:, even_cols] = even[m - 1:: -1]
+    if n % 2:
+        vectors[m, even_cols] = even[m]
+        vectors[m, odd_cols] = 0.0
+    vectors[:m, odd_cols] = odd
+    np.negative(odd, out=odd)
+    vectors[n - m:, odd_cols] = odd[::-1]
+    return values[order], fix_vector_signs(vectors, n - m)
+
+
+@st.composite
+def mirror_chains(draw, max_n=200):
+    """Palindromic chains: couplings in +-[0.2, 5], on-site energies in [-5, 5]."""
+    n = draw(st.integers(2, max_n))
+    coupling = st.one_of(st.floats(0.2, 5.0), st.floats(-5.0, -0.2))
+    half_j = draw(st.lists(coupling, min_size=n // 2, max_size=n // 2))
+    half_e = draw(st.lists(st.floats(-5.0, 5.0),
+                           min_size=(n + 1) // 2, max_size=(n + 1) // 2))
+    convention = draw(st.sampled_from(["negative", "positive"]))
+    return ChainSpec(onsite=tuple(half_e + half_e[: n // 2][::-1]),
+                     couplings=tuple(half_j + half_j[: (n - 1) // 2][::-1]),
+                     sign_convention=convention)
+
+
+def hamiltonian_bands(chain):
+    h = build_hamiltonian(chain)
+    return np.diag(h), np.diag(h, 1)
 
 
 def dispersion(n, e, j):
@@ -272,6 +341,30 @@ class TestMirrorSplit:
         eigendecompose(h)
         assert sizes == [6]
 
+    @settings(max_examples=60, deadline=None)
+    @given(mirror_chains())
+    @example(christandl_chain(1024, 1.0))
+    @example(random_mirror_chain(np.random.default_rng(1023), 1023, "positive"))
+    def test_matches_column_scatter_reference(self, chain):
+        es = diagonalize_chain(chain)
+        values, vectors = solve_mirror_columns(*hamiltonian_bands(chain))
+        assert np.array_equal(es.values, values)
+        assert np.array_equal(es.vectors, vectors)
+        assert es.vectors.T.flags.c_contiguous
+
+    def test_general_path_matches_column_sign_reference(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 10, 75, 300):
+            chain = ChainSpec(onsite=tuple(rng.uniform(-5.0, 5.0, n)),
+                              couplings=tuple(rng.uniform(0.2, 5.0, n - 1)))
+            d, e = hamiltonian_bands(chain)
+            assert not np.array_equal(d, d[::-1])
+            values, vectors = scipy.linalg.eigh_tridiagonal(d, e)
+            es = diagonalize_chain(chain)
+            assert np.array_equal(es.values, values)
+            assert np.array_equal(es.vectors, fix_vector_signs(vectors))
+            assert es.vectors.T.flags.c_contiguous
+
     def test_peak_memory(self):
         # the full-size solve's Gram and residual buffers peaked at 96 MiB here
         chain = christandl_chain(2048, 1.0)
@@ -305,7 +398,42 @@ def nan_vectors(solve):
     return fake
 
 
+def swapped_columns(solve):
+    """A fake eigh_tridiagonal that swaps two eigenvectors: orthonormal but wrong."""
+    def fake(d, e):
+        values, vectors = solve(d, e)
+        return values, vectors[:, [1, 0, *range(2, len(d))]]
+    return fake
+
+
+def residual_chain(n):
+    """N = 300 takes the general path; N = 511 and 512 the mirror split."""
+    rng = np.random.default_rng(n)
+    if n == 300:
+        return ChainSpec(onsite=tuple(rng.uniform(-2.0, 2.0, n)),
+                         couplings=tuple(rng.uniform(0.2, 2.0, n - 1)))
+    return random_mirror_chain(rng, n)
+
+
 class TestEigendecomposeFailures:
+    @pytest.mark.parametrize("fake, n, message", [
+        (swapped_columns, 300, "eigenpair residual 2.710e-02 (N=300)"),
+        (swapped_columns, 512, "eigenpair residual 6.688e-02 (N=512)"),
+        (swapped_columns, 511, "eigenpair residual 2.769e-02 (N=511)"),
+        (shifted_values, 300, "eigenpair residual 9.666e-04 (N=300)"),
+        (shifted_values, 512, "eigenpair residual 9.938e-04 (N=512)"),
+        (shifted_values, 511, "eigenpair residual 9.815e-04 (N=511)"),
+    ])
+    def test_residual_figure(self, monkeypatch, fake, n, message):
+        # figures recorded from the column-layout residual; the row-layout one
+        # runs the same operations in the same order
+        chain = residual_chain(n)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                            fake(scipy.linalg.eigh_tridiagonal))
+        with pytest.raises(NumericalError) as info:
+            diagonalize_chain(chain)
+        assert str(info.value) == "eigendecompose: " + message
+
     @pytest.mark.parametrize("fake, figure", [
         (no_convergence, "did not converge"),
         (scaled_eigenvectors, "orthonormality error 2.100e-01"),

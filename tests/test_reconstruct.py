@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchain import (
+    NumericalError,
     PinchSpec,
     Spectrum,
     build_hamiltonian,
@@ -126,6 +127,16 @@ class TestRoundTrip:
                 s = pinched_spectrum(PinchSpec(n=n, p=p, alpha=0.5))
                 spread = s.values[-1] - s.values[0]
                 assert roundtrip_error(s) <= 1e-8 * spread
+
+    @pytest.mark.xfail(raises=NumericalError, strict=False,
+                       reason="the plain Stieltjes recurrence loses orthogonality "
+                              "(ROADMAP item 2: Lanczos reconstruction)")
+    def test_shifted_pinched_n85(self):
+        # the mirror cross-check misses by 1.003e-6 against a bound of 8.32e-7;
+        # with a 20% margin another BLAS may round it to a pass
+        s = pinched_spectrum(PinchSpec(n=85, p=5, alpha=0.5), shift=-2.740285928251791)
+        spread = s.values[-1] - s.values[0]
+        assert roundtrip_error(s) <= 1e-8 * spread
 
 
 class TestPolynomialTable:
