@@ -50,14 +50,14 @@ def node_count(es: EigenSystem) -> list[int]:
     Components below 1e-12 in magnitude inherit the previous sign, so the
     exact central zeros of odd-parity states count as single crossings.
     """
-    v = es.vectors
+    # one eigenstate per row (C-contiguous for eigendecompose's vectors);
+    # dropping the components below 1e-12 lets them inherit the previous sign
+    v = es.vectors.T
     nonzero = np.abs(v) > 1e-12
-    # forward-fill each column with the row of its last nonzero component
-    last = np.maximum.accumulate(
-        np.where(nonzero, np.arange(es.n)[:, None], -1), axis=0)
-    signs = np.where(last >= 0, np.sign(v[np.maximum(last, 0), np.arange(es.n)]), 0.0)
-    flips = (signs[1:] != signs[:-1]) & (signs[:-1] != 0.0)
-    return flips.sum(axis=0).tolist()
+    negative = np.signbit(v[nonzero])
+    rows = np.repeat(np.arange(es.n), np.count_nonzero(nonzero, axis=1))
+    flips = (negative[1:] != negative[:-1]) & (rows[1:] == rows[:-1])
+    return np.bincount(rows[1:][flips], minlength=es.n).tolist()
 
 
 @dataclass(frozen=True)

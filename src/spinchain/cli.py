@@ -21,9 +21,11 @@ from .dynamics import revival_peaks, trace
 from .errors import NumericalError
 from .ga import GAConfig, evolve
 from .reconstruct import reconstruct, roundtrip_error
-from .spectra import PinchSpec, Spectrum, pinched_spectrum, snap_to_pst
+from .spectra import PinchSpec, Spectrum, infer_pinch, pinched_spectrum, snap_to_pst
 from .sweep import deviation_sweep, sweep_csv
 from .analogue import diagnostics_report
+
+CSV_BLOCK_ROWS = 4096
 
 
 def _load_json(path: str) -> dict:
@@ -39,6 +41,20 @@ def _load_json(path: str) -> dict:
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
+
+
+def _write_rows(path: Path, header: str, fmt: str, columns) -> None:
+    """Write ``header`` and one ``fmt`` line per row of the stacked columns.
+
+    Rows are formatted a block of ``CSV_BLOCK_ROWS`` at a time with one
+    ``%`` call, so only one block's values and text are held at once.
+    """
+    rows = np.column_stack(columns)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_manifest(out_dir: Path, subcommand: str, inputs: list[str],
@@ -69,9 +85,8 @@ def cmd_simulate(args) -> int:
     header = "t_Jmax,F,Fav" if not args.raw_time else "t,F,Fav"
 
     out = _out_dir(args)
-    lines = [header]
-    lines.extend(map("%.12g,%.12g,%.12g".__mod__, zip(times, tr.transfer, tr.average)))
-    (out / "trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(out / "trace.csv", header, "%.12g,%.12g,%.12g\n",
+                (times, tr.transfer, tr.average))
     _write_json(out / "peaks.json", {
         "peaks": [{"t": t * peak_scale, "F": f} for t, f in tr.peaks],
         "revivals": [{"t": t * peak_scale, "F": f} for t, f in revival_peaks(tr)],
@@ -152,24 +167,13 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _infer_pinch(values: np.ndarray) -> tuple[int, float]:
-    gamma = float(values[1] - values[0])
-    top = float(values[-1] - values[-2])
-    if top <= 0 or gamma <= 0:
-        raise ValueError("cannot infer pinch parameters from the spectrum")
-    ratio = gamma / top
-    lo = max(1, 2 * int(np.floor((ratio - 1) / 2)) + 1)
-    p = lo if abs(lo - ratio) <= abs(lo + 2 - ratio) else lo + 2
-    return p, gamma
-
-
 def cmd_analyze(args) -> int:
     chain = ChainSpec.from_dict(_load_json(args.chain))
     es = diagonalize_chain(chain)
     if args.p is not None and args.gamma is not None:
         p, gamma = args.p, args.gamma
     else:
-        p, gamma = _infer_pinch(es.values)
+        p, gamma = infer_pinch(es.values)
         p = args.p if args.p is not None else p
         gamma = args.gamma if args.gamma is not None else gamma
 

@@ -175,6 +175,22 @@ def snap_to_pst(s: Spectrum, p: int) -> Spectrum:
     )
 
 
+def infer_pinch(values) -> tuple[int, float]:
+    """Pinch ``p`` and base spacing ``gamma`` read off a near-pinched spectrum.
+
+    ``gamma`` is the lowest gap and ``p`` the odd integer nearest the ratio
+    of the lowest gap to the top gap (ties go to the smaller one).
+    """
+    gamma = float(values[1] - values[0])
+    top = float(values[-1] - values[-2])
+    if top <= 0 or gamma <= 0:
+        raise ValueError("cannot infer pinch parameters from the spectrum")
+    ratio = gamma / top
+    lo = max(1, 2 * int(np.floor((ratio - 1) / 2)) + 1)
+    p = lo if abs(lo - ratio) <= abs(lo + 2 - ratio) else lo + 2
+    return p, gamma
+
+
 def spectral_symmetry_check(s: Spectrum, tol: float = 1e-9) -> bool:
     """True iff the spectrum is symmetric about its center.
 

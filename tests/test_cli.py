@@ -1,13 +1,25 @@
 """CLI surface: subcommands, file formats, exit codes, reproducibility."""
 
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spinchain import ChainSpec, diagonalize_chain, trace
-from spinchain.cli import main
+from spinchain import (
+    ChainSpec,
+    PinchSpec,
+    diagonalize_chain,
+    pinched_spectrum,
+    reconstruct,
+    trace,
+)
+from spinchain.cli import CSV_BLOCK_ROWS, _write_rows, main
 
 from conftest import scaled_eigenvectors
 
@@ -28,6 +40,33 @@ def chain_file(tmp_path):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+# signed zeros, subnormals, non-finite values and both exponent forms of %g
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan,
+                  1e-5, -1e16, 0.1, 123456789.123456789]
+csv_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                       st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestWriteRows:
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(csv_floats, min_size=1, max_size=64),
+           n_rows=st.integers(0, 2 * CSV_BLOCK_ROWS + 1))
+    @example(values=SPECIAL_FLOATS, n_rows=1)
+    @example(values=SPECIAL_FLOATS, n_rows=2)
+    @example(values=SPECIAL_FLOATS, n_rows=4095)
+    @example(values=SPECIAL_FLOATS, n_rows=4096)
+    @example(values=SPECIAL_FLOATS, n_rows=4097)
+    @example(values=SPECIAL_FLOATS, n_rows=8193)
+    def test_matches_fstring_rows(self, values, n_rows):
+        rows = np.resize(np.array(values, dtype=float), (n_rows, 3))
+        expected = "h,e,ad\n" + "".join(f"{a:.12g},{b:.12g},{c:.12g}\n"
+                                          for a, b, c in rows.tolist())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            _write_rows(path, "h,e,ad", "%.12g,%.12g,%.12g\n", tuple(rows.T))
+            assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestSimulate:
@@ -67,6 +106,37 @@ class TestSimulate:
         rows += [f"{t:.12g},{f:.12g},{a:.12g}"
                  for t, f, a in zip(times, tr.transfer, tr.average)]
         assert (out / "trace.csv").read_text() == "\n".join(rows) + "\n"
+
+    @pytest.mark.parametrize("raw_time", [False, True])
+    def test_csv_rows_pinned_window_400(self, tmp_path, chain_file, raw_time):
+        # 80,001 rows: 19 full blocks and a partial one
+        out = tmp_path / "fmt400"
+        argv = ["simulate", str(chain_file), "--window", "400", "--out", str(out)]
+        assert main(argv + ["--raw-time"] * raw_time) == 0
+        chain = ChainSpec.from_dict(QPST_CHAIN)
+        tr = trace(diagonalize_chain(chain), window=400.0, j_max=chain.j_max)
+        times = tr.times / chain.j_max if raw_time else tr.times
+        rows = ["t,F,Fav" if raw_time else "t_Jmax,F,Fav"]
+        rows += [f"{t:.12g},{f:.12g},{a:.12g}"
+                 for t, f, a in zip(times, tr.transfer, tr.average)]
+        assert len(rows) == 80_002
+        assert (out / "trace.csv").read_text() == "\n".join(rows) + "\n"
+
+    def test_trace_csv_memory_bounded(self, tmp_path):
+        # holding all 80,001 rows' values and text at once peaked at 15 MiB
+        chain = reconstruct(pinched_spectrum(PinchSpec(n=40, p=3, alpha=0.5)))
+        path = tmp_path / "pinched40.json"
+        path.write_text(json.dumps(chain.to_dict()))
+        out = tmp_path / "sim40"
+        tracemalloc.start()
+        try:
+            code = main(["simulate", str(path), "--window", "400", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (out / "trace.csv").read_text().count("\n") == 80_002
+        assert peak <= 8 * 2**20
 
     def test_two_site_peak(self, tmp_path):
         chain = tmp_path / "two.json"

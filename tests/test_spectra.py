@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinchain import (
     PinchSpec,
@@ -12,6 +14,7 @@ from spinchain import (
     snap_to_pst,
     spectral_symmetry_check,
 )
+from spinchain.spectra import infer_pinch
 
 from conftest import uniform_chain
 
@@ -118,6 +121,25 @@ class TestSnap:
     def test_even_p_rejected(self):
         with pytest.raises(ValueError):
             snap_to_pst(Spectrum(values=QPST_VALUES), p=4)
+
+
+class TestInferPinch:
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.sampled_from(range(1, 15, 2)), n=st.integers(3, 60),
+           alpha=st.floats(0.1, 2.0), shift=st.floats(-10.0, 10.0))
+    def test_recovers_pinched_parameters(self, p, n, alpha, shift):
+        s = pinched_spectrum(PinchSpec(n=n, p=p, alpha=alpha), shift=shift)
+        got_p, gamma = infer_pinch(np.array(s.values))
+        assert got_p == p
+        assert gamma == pytest.approx(2.0 * alpha, rel=1e-9)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 0.0, 1.0, 2.0], [1.0, 0.0, 1.0, 2.0],
+        [0.0, 1.0, 2.0, 2.0], [0.0, 1.0, 3.0, 2.0],
+    ])
+    def test_non_increasing_gap_raises(self, values):
+        with pytest.raises(ValueError, match="cannot infer pinch parameters"):
+            infer_pinch(np.array(values))
 
 
 class TestSpectralSymmetry:
