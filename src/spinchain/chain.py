@@ -2,15 +2,16 @@
 
 A chain is a set of on-site energies and nearest-neighbour couplings; in the
 single-excitation subspace its Hamiltonian is a real symmetric tridiagonal
-matrix, held natively as its two bands (diagonal, off-diagonal); the
-eigensolver checks its eigenpairs on the bands, and ``build_hamiltonian``
-gives the dense matrix. An exactly palindromic chain is solved as its even
-and odd half-size blocks (basis (e_i +- e_{N+1-i})/sqrt(2)), so its
-eigenvectors are exact mirror eigenstates. The solver works on eigenvectors
-stored as rows: checks run a row per eigenvector, and a mirror chain's top
-half is written as whole rows, signed once and mirrored into the bottom half.
-Everything downstream (dynamics, spectra, reconstruction) works with the
-``EigenSystem`` produced here.
+matrix, held natively as its two bands (diagonal, off-diagonal). Only this
+module lays bands out: ``tridiagonal`` makes dense matrices of them and
+``mirror_bands`` splits palindromic chains into the bands of their even and
+odd half-size blocks (basis (e_i +- e_{N+1-i})/sqrt(2)), both batched, so the
+GA solves its genomes through the same split. The eigensolver checks its
+eigenpairs on the bands and solves an exactly palindromic chain as its
+blocks, so its eigenvectors are exact mirror eigenstates; it stores
+eigenvectors as rows, and a mirror chain's top half is signed once and
+mirrored into the bottom half. Everything downstream (dynamics, spectra,
+reconstruction) works with the ``EigenSystem`` produced here.
 """
 
 from __future__ import annotations
@@ -118,16 +119,43 @@ def _bands(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(spec.onsite, dtype=float), sign * np.abs(spec.couplings)
 
 
-def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Dense single-excitation Hamiltonian: tridiagonal with the chain's profile.
-
-    Diagonal entries are the on-site energies; off-diagonal entries are the
-    coupling magnitudes signed per the chain's convention.
-    """
-    diagonal, off = _bands(spec)
-    h = np.diag(diagonal)
-    h += np.diag(off, 1) + np.diag(off, -1)
+def tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Dense symmetric tridiagonal matrices, batched over leading axes: ``d``
+    (..., n) on the diagonal and ``e`` (..., n-1) on both off-diagonals."""
+    i = np.arange(d.shape[-1])
+    h = np.zeros(d.shape + i.shape)
+    h[..., i, i] = d
+    h[..., i[:-1], i[1:]] = h[..., i[1:], i[:-1]] = e
     return h
+
+
+def mirror_bands(d: np.ndarray, e: np.ndarray, n: int):
+    """Bands ``((even_d, even_e), (odd_d, odd_e))`` of palindromic chains' blocks.
+
+    In the basis (e_i +- e_{N+1-i})/sqrt(2) an n-site palindromic chain with
+    bands (d, e) is block diagonal. N = 2m: both blocks are (d[:m], e[:m-1])
+    with last diagonal d[m-1] +- e[m-1]. N = 2m+1: the even block is
+    (d[:m+1], e[:m]) with its last coupling times sqrt(2) (it reaches the
+    centre site), the odd block is (d[:m], e[:m-1]). Batched over leading
+    axes; only the top halves ``d[..., :ceil(n/2)]`` and ``e[..., :n//2]``
+    are read.
+    """
+    m = n // 2
+    odd_e = e[..., : m - 1]
+    if n % 2:
+        even_e = e[..., :m].copy()
+        even_e[..., -1] *= np.sqrt(2.0)
+        return (d[..., : m + 1], even_e), (d[..., :m], odd_e)
+    even_d, odd_d = d[..., :m].copy(), d[..., :m].copy()
+    even_d[..., -1] += e[..., m - 1]
+    odd_d[..., -1] -= e[..., m - 1]
+    return (even_d, odd_e), (odd_d, odd_e)
+
+
+def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """Dense single-excitation Hamiltonian: the on-site energies on the diagonal,
+    the coupling magnitudes signed per the chain's convention off it."""
+    return tridiagonal(*_bands(spec))
 
 
 def _fix_row_signs(rows: np.ndarray) -> None:
@@ -187,30 +215,17 @@ def _solve_checked(d: np.ndarray, upper: np.ndarray, lower: np.ndarray, h_max: f
 def _solve_mirror(d: np.ndarray, e: np.ndarray, h_max: float) -> EigenSystem:
     """Eigensystem of a palindromic chain from its even and odd half-size blocks.
 
-    In the basis (e_i +- e_{N+1-i})/sqrt(2) the Hamiltonian is block diagonal.
-    N = 2m: both blocks are (d[:m], e[:m-1]) with last diagonal d[m-1] +- e[m-1].
-    N = 2m+1: the even block is (d[:m+1], e[:m]) with its last coupling times
-    sqrt(2) (it reaches the centre site), the odd block is (d[:m], e[:m-1]).
-
-    The eigenvectors are assembled as the rows of one N x N array: each block
-    vector fills the top half of its row (sorted by eigenvalue) with whole-row
-    copies, the sign rule runs once on that top half, which holds every
-    vector's largest component, and the bottom half is the top half reversed,
-    negated for odd rows.
+    The blocks' bands come from ``mirror_bands``. The eigenvectors are
+    assembled as the rows of one N x N array: each block vector fills the top
+    half of its row (sorted by eigenvalue) with whole-row copies, the sign rule
+    runs once on that top half, which holds every vector's largest component,
+    and the bottom half is the top half reversed, negated for odd rows.
     """
     n = d.size
     m = n // 2
-    if n % 2:
-        even_d, even_e = d[: m + 1], e[:m].copy()
-        even_e[-1] *= np.sqrt(2.0)
-        odd_d = d[:m]
-    else:
-        even_d, even_e = d[:m].copy(), e[: m - 1]
-        odd_d = even_d.copy()
-        even_d[-1] += e[m - 1]
-        odd_d[-1] -= e[m - 1]
+    (even_d, even_e), (odd_d, odd_e) = mirror_bands(d, e, n)
     even_values, even = _solve_checked(even_d, even_e, even_e, h_max, n)
-    odd_values, odd = _solve_checked(odd_d, e[: m - 1], e[: m - 1], h_max, n)
+    odd_values, odd = _solve_checked(odd_d, odd_e, odd_e, h_max, n)
 
     values = np.concatenate([even_values, odd_values])
     order = np.argsort(values, kind="stable")

@@ -153,13 +153,9 @@ def cmd_optimize(args) -> int:
 
     out = _out_dir(args)
     _write_json(out / "best_chain.json", report.best_chain().to_dict())
-    lines = ["generation,best_f,best_Fmax,best_Q,best_sigma"]
-    lines.extend(
-        f"{h['generation']},{h['best_f']:.12g},{h['best_Fmax']:.12g},"
-        f"{h['best_Q']:.12g},{h['best_sigma']:.12g}"
-        for h in report.history
-    )
-    (out / "history.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = "generation,best_f,best_Fmax,best_Q,best_sigma"
+    _write_rows(out / "history.csv", header, "%d,%.12g,%.12g,%.12g,%.12g\n",
+                [[h[key] for h in report.history] for key in header.split(",")])
     _write_manifest(out, "optimize", [args.config], cfg.to_dict(), seed=cfg.seed)
     br = report.best_report
     print(f"best f = {br.fitness:.6f}, F_max = {br.f_max:.6f} "

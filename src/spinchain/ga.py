@@ -9,11 +9,11 @@ lower gaps equal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, mirror_bands, tridiagonal
 from .dynamics import fidelity_grid
 from .spectra import Spectrum
 
@@ -65,15 +65,7 @@ class GAConfig:
         return (self.n + 1) // 2
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "p": self.p, "generations": self.generations,
-            "population": self.population, "mu_i": self.mu_i, "mu_f": self.mu_f,
-            "window": self.window, "a": self.a, "b": self.b, "seed": self.seed,
-            "bounds": list(self.bounds), "coupling": self.coupling,
-            "samples": self.samples,
-            "mutation_width_frac": self.mutation_width_frac,
-            "seed_parabolic": self.seed_parabolic,
-        }
+        return {**asdict(self), "bounds": list(self.bounds)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GAConfig":
@@ -169,22 +161,20 @@ def _spectral_scores(lam: np.ndarray):
 def _evaluate_block(genomes: np.ndarray, cfg: GAConfig):
     """Fitness of every genome in a (pop, half) block.
 
-    Eigendecompositions are batched; the fidelity grid is
-    ``dynamics.fidelity_grid``, taken over chunks of genomes to bound memory.
+    A genome is the top half of a palindromic chain's diagonal, so the chain
+    splits into its even and odd half-size blocks (``chain.mirror_bands``);
+    each block stack is solved by one batched ``eigh``. The (lam, w) pairs
+    stay in block order for ``dynamics.fidelity_grid``, taken over chunks of
+    genomes to bound memory; the gap scores sort the eigenvalues.
     """
     pop = genomes.shape[0]
-    n = cfg.n
-    onsite = np.concatenate([genomes, genomes[:, : n - cfg.genome_length][:, ::-1]],
-                            axis=1)
-    h = np.zeros((pop, n, n))
-    idx = np.arange(n)
-    h[:, idx, idx] = onsite
-    off = np.arange(n - 1)
-    h[:, off, off + 1] = -abs(cfg.coupling)
-    h[:, off + 1, off] = -abs(cfg.coupling)
-    lam, vec = np.linalg.eigh(h)
-
-    w = vec[:, 0, :] * vec[:, n - 1, :]
+    off = np.full((pop, cfg.n // 2), -abs(cfg.coupling))
+    (even_d, even_e), (odd_d, odd_e) = mirror_bands(genomes, off, cfg.n)
+    even_lam, u_even = np.linalg.eigh(tridiagonal(even_d, even_e))
+    odd_lam, u_odd = np.linalg.eigh(tridiagonal(odd_d, odd_e))
+    lam = np.concatenate([even_lam, odd_lam], axis=1)
+    # block vector u -> chain vector (u, +-u reversed) / sqrt(2), so w = +-u[0]^2 / 2
+    w = 0.5 * np.concatenate([u_even[:, 0] ** 2, -u_odd[:, 0] ** 2], axis=1)
     # the window is in t*J_max units; with |J| uniform, J_max = |coupling|
     dt = cfg.window / (cfg.samples - 1) / abs(cfg.coupling)
     f_max = np.empty(pop)
@@ -196,7 +186,7 @@ def _evaluate_block(genomes: np.ndarray, cfg: GAConfig):
         f_max[chunk] = f[np.arange(len(f)), best_idx]
         t_best[chunk] = best_idx * (cfg.window / (cfg.samples - 1))
 
-    q, sigma = _spectral_scores(lam)
+    q, sigma = _spectral_scores(np.sort(lam, axis=1))
     upsilon = np.abs(q - 1.0 / cfg.p) + sigma
     denom = cfg.a * f_max + cfg.b * upsilon
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -209,12 +199,8 @@ def _evaluate_block(genomes: np.ndarray, cfg: GAConfig):
 def fitness(ind: GAIndividual, cfg: GAConfig) -> FitnessReport:
     """Score a single individual exactly as the evolution loop would."""
     genome = np.asarray(ind.genome)[None, :]
-    eval_cfg = cfg if ind.coupling == cfg.coupling else \
-        GAConfig.from_dict({**cfg.to_dict(), "coupling": ind.coupling})
-    f, f_max, ups, q, sigma, t_best = _evaluate_block(genome, eval_cfg)
-    return FitnessReport(fitness=float(f[0]), f_max=float(f_max[0]),
-                         upsilon=float(ups[0]), q=float(q[0]),
-                         sigma=float(sigma[0]), best_time=float(t_best[0]))
+    scores = _evaluate_block(genome, replace(cfg, coupling=ind.coupling))
+    return FitnessReport(*(float(s[0]) for s in scores))
 
 
 def _parabolic_genome(cfg: GAConfig) -> np.ndarray:
@@ -291,9 +277,5 @@ def evolve(cfg: GAConfig, initial: np.ndarray | None = None) -> GAReport:
 
     j = int(np.argmax(scores[0]))
     best = GAIndividual(genome=tuple(genomes[j]), coupling=cfg.coupling)
-    best_report = FitnessReport(
-        fitness=float(scores[0][j]), f_max=float(scores[1][j]),
-        upsilon=float(scores[2][j]), q=float(scores[3][j]),
-        sigma=float(scores[4][j]), best_time=float(scores[5][j]),
-    )
+    best_report = FitnessReport(*(float(s[j]) for s in scores))
     return GAReport(best=best, best_report=best_report, history=history, config=cfg)

@@ -22,6 +22,7 @@ from spinchain import (
     mirror_operator,
     trace,
 )
+from spinchain.chain import tridiagonal
 
 from conftest import random_mirror_chain, scaled_eigenvectors, uniform_chain
 
@@ -174,9 +175,15 @@ class TestBuildHamiltonian:
             n = int(rng.integers(2, 9))
             onsite = tuple(rng.uniform(-1, 3, n))
             couplings = tuple(rng.uniform(0.2, 2, n - 1))
-            neg = diagonalize_chain(ChainSpec(onsite, couplings, "negative"))
-            pos = diagonalize_chain(ChainSpec(onsite, couplings, "positive"))
+            chains = [ChainSpec(onsite, couplings, c) for c in ("negative", "positive")]
+            neg, pos = map(diagonalize_chain, chains)
             assert np.abs(neg.values - pos.values).max() <= 1e-12
+            # both conventions' bands as one (2, n) stack
+            bands = zip(*map(spinchain.chain._bands, chains))
+            stack = tridiagonal(*(np.array(band) for band in bands))
+            assert stack.shape == (2, n, n)
+            for h, chain in zip(stack, chains):
+                assert np.array_equal(h, build_hamiltonian(chain))
 
 
 class TestEigendecompose:

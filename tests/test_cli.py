@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from spinchain import (
     ChainSpec,
+    GAConfig,
     PinchSpec,
     diagonalize_chain,
+    evolve,
     pinched_spectrum,
     reconstruct,
     trace,
@@ -261,6 +263,20 @@ class TestOptimize:
         main(["optimize", str(config_file), "--seed", "3", "--out", str(out2)])
         assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
         assert read_json(out1 / "manifest.json")["seed"] == 3
+
+    def test_history_csv_pinned(self, tmp_path, config_file):
+        # the per-row f-string join that history.csv was written with
+        out = tmp_path / "pin"
+        assert main(["optimize", str(config_file), "--out", str(out)]) == 0
+        history = evolve(GAConfig.from_dict(read_json(config_file))).history
+        lines = ["generation,best_f,best_Fmax,best_Q,best_sigma"]
+        lines.extend(
+            f"{h['generation']},{h['best_f']:.12g},{h['best_Fmax']:.12g},"
+            f"{h['best_Q']:.12g},{h['best_sigma']:.12g}"
+            for h in history
+        )
+        expected = ("\n".join(lines) + "\n").encode("utf-8")
+        assert (out / "history.csv").read_bytes() == expected
 
     def test_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinchain import (
@@ -127,10 +127,12 @@ def palindromic_blocks(draw):
 class TestFidelityGrid:
     @settings(max_examples=40, deadline=None)
     @given(palindromic_blocks())
+    # a Q that a full-size dense eigh of the palindrome misses by 3.5e-10 (relative)
+    @example((GAConfig(n=10, p=3, coupling=0.5), np.array([[4.9, 1.5, 3.2, 2.9, 2.4]])))
     def test_matches_scalar_fidelity(self, block):
         # independent path: tridiagonal eigensolver plus the scalar amplitude
         cfg, genomes = block
-        _, f_max, _, _, _, t_best = _evaluate_block(genomes, cfg)
+        _, f_max, _, q, sigma, t_best = _evaluate_block(genomes, cfg)
         j = abs(cfg.coupling)
         times = np.linspace(0.0, cfg.window, cfg.samples) / j
         for row, genome in enumerate(genomes):
@@ -139,6 +141,11 @@ class TestFidelityGrid:
             assert f_max[row] == pytest.approx(max(grid), rel=0, abs=1e-12)
             assert transfer_fidelity(es, t_best[row] / j) \
                 == pytest.approx(f_max[row], rel=0, abs=1e-12)
+            # near-degenerate levels leave Q to the solvers' rounding
+            if np.diff(es.values).min() > 1e-6 * np.ptp(es.values):
+                spectrum = Spectrum(values=tuple(es.values))
+                assert q[row] == pytest.approx(q_factor(spectrum), rel=1e-12, abs=0)
+                assert sigma[row] == pytest.approx(sigma_lambda(spectrum), rel=0, abs=1e-12)
 
     def test_rows_independent_of_block(self):
         # fitness() scores a one-row block; it must agree with the same genome
