@@ -1,11 +1,21 @@
 """Persymmetric Jacobi chain reconstruction from a prescribed spectrum.
 
-Given simple eigenvalues, the weights w_k = prod_{j!=k} 1/|lam_k - lam_j|
-define a discrete inner product; the three-term recurrence of the
-orthogonal polynomials for that inner product yields the unique
-mirror-symmetric tridiagonal matrix with the given spectrum. The recurrence
-is run on normalized polynomials (norms carried separately) so large chains
-do not overflow.
+A palindromic chain is block diagonal in the basis (e_i +- e_{N+1-i})/sqrt(2)
+(``chain.mirror_bands``): in the negative sign convention its even block has
+the eigenvalues mu = lam[0::2] and its odd block nu = lam[1::2]. The two
+blocks differ only at the centre site, so the two spectra fix the weights c_k
+of the centre site in the even block's eigenvectors (the two-spectra
+construction of Hochstadt and of de Boor & Golub). One LAPACK Householder
+reduction (``dsytrd``) of the arrowhead [[0, sqrt(c)^T], [sqrt(c), diag(mu)]]
+yields the even block read from the centre outwards; it is unfolded and
+mirrored, so the chain is persymmetric by construction. The centre weights
+are well conditioned, unlike the end-site weights
+w_k = prod_{j!=k} 1/|lam_k - lam_j|, which span ~2^(N/2) and overflow for
+long chains. Every result is checked against its input spectrum with
+values-only solves of its two blocks.
+
+The end-site weights remain the diagnostic inner product: ``polynomial_table``
+reads its orthogonal polynomials off the reconstructed chain's eigenvectors.
 """
 
 from __future__ import annotations
@@ -13,21 +23,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .chain import ChainSpec, diagonalize_chain
+from .chain import ChainSpec, diagonalize_chain, mirror_bands
 from .errors import NumericalError
 from .spectra import Spectrum
 
 CROSS_CHECK_TOL = 1e-8
 
 
-def compute_weights(values) -> np.ndarray:
-    """Reconstruction weights from eigenvalue spacings, one per eigenvalue."""
-    lam = np.asarray(values, dtype=float)
+def _check_simple(lam: np.ndarray) -> float:
+    """The spectral spread of ascending eigenvalues; raises if any repeat."""
     spread = lam[-1] - lam[0]
     if np.diff(lam).min() <= 1e-12 * spread:
         raise ValueError("spectrum has (numerically) repeated eigenvalues; "
                          "reconstruction is undefined")
+    return spread
+
+
+def compute_weights(values) -> np.ndarray:
+    """Reconstruction weights from eigenvalue spacings, one per eigenvalue."""
+    lam = np.asarray(values, dtype=float)
+    _check_simple(lam)
     gaps = np.abs(np.subtract.outer(lam, lam))
     np.fill_diagonal(gaps, 1.0)
     return 1.0 / np.prod(gaps, axis=1)
@@ -51,73 +68,115 @@ class PolynomialTable:
         return int(np.sum(signs[1:] != signs[:-1]))
 
 
-def _recurrence(lam: np.ndarray, w: np.ndarray):
-    """Full forward pass; returns (onsite, couplings, normalized poly values)."""
-    n = len(lam)
-    sqrt_w = np.sqrt(w)
-    norms = np.empty(n)
-    norms[0] = np.linalg.norm(sqrt_w)
-    # u_j[k] = (P_j(lam_k)/||P_j||) * sqrt(w_k): orthonormal vectors
-    u_prev = np.zeros(n)
-    u = sqrt_w / norms[0]
-    table = np.empty((n, n))
-    table[0] = u / sqrt_w
-    eps = np.empty(n)
-    j_off = np.empty(n - 1)
-    for j in range(n):
-        eps[j] = float(np.sum(lam * u * u))
-        if j == n - 1:
-            break
-        r = (lam - eps[j]) * u - (j_off[j - 1] if j > 0 else 0.0) * u_prev
-        norm_r = float(np.linalg.norm(r))
-        if not np.isfinite(norm_r) or norm_r <= 0.0:
-            raise NumericalError(f"recurrence broke down at stage {j + 1} "
-                                 f"(norm ratio {norm_r})")
-        j_off[j] = norm_r
-        u_prev, u = u, r / norm_r
-        norms[j + 1] = norms[j] * norm_r
-        table[j + 1] = u / sqrt_w
-    return eps, j_off, PolynomialTable(values=table, norms=norms)
-
-
 def polynomial_table(s: Spectrum) -> PolynomialTable:
-    """Recurrence diagnostics for a spectrum (used to test interlacing)."""
-    lam = np.asarray(s.values)
-    return _recurrence(lam, compute_weights(lam))[2]
+    """Recurrence diagnostics for a spectrum (used to test interlacing).
+
+    With positive couplings the eigenvectors V of the reconstructed chain
+    hold the orthonormal polynomials: V[j, k] = P_j(lam_k)/||P_j|| * sqrt(w_k)
+    / ||sqrt(w)||, and ||P_{j+1}|| = ||P_j|| * J_j.
+    """
+    lam = np.asarray(s.values, dtype=float)
+    with np.errstate(over="ignore"):
+        root_norm = np.linalg.norm(np.sqrt(compute_weights(lam)))
+    if not 0.0 < root_norm < np.inf:
+        raise NumericalError(f"polynomial_table: end-site weights out of range "
+                             f"(norm {root_norm:.3e}, N={lam.size})")
+    chain = reconstruct(s, sign_convention="positive")
+    v = diagonalize_chain(chain).vectors
+    norms = root_norm * np.concatenate([[1.0], np.cumprod(chain.couplings)])
+    return PolynomialTable(values=v / v[0] / root_norm, norms=norms)
+
+
+def _centre_weights(lam: np.ndarray) -> np.ndarray:
+    """Squared centre components c_k of the even block's eigenvectors, sum 1.
+
+    c_k = prod_j (nu_j - mu_k) / prod_{j!=k} (mu_j - mu_k) up to a common
+    factor (1/(2 J_centre) for even N); interlacing makes every factor pair
+    of one sign, and the products are summed as logs so they cannot overflow.
+    """
+    mu = lam[0::2]
+    gaps = np.abs(np.subtract.outer(mu, lam))
+    gaps[np.arange(mu.size), np.arange(0, lam.size, 2)] = 1.0
+    logs = np.log(gaps)
+    log_c = logs[:, 1::2].sum(axis=1) - logs[:, 0::2].sum(axis=1)
+    c = np.exp(log_c - log_c.max())
+    c /= c.sum()
+    if not np.isfinite(c).all():
+        raise NumericalError("reconstruct: non-finite centre-site weights")
+    return c
+
+
+def _block_error(d: np.ndarray, e: np.ndarray, target: np.ndarray) -> float:
+    """Max |eigenvalue of the tridiagonal block (d, e) - target|, values only."""
+    if d.size == 1:
+        values = d
+    else:
+        values, info = lapack.dsterf(d, e)
+        if info:
+            raise NumericalError(f"reconstruct: dsterf did not converge "
+                                 f"(info {info})")
+    return float(np.abs(values - target).max())
 
 
 def reconstruct(s: Spectrum, sign_convention: str = "negative") -> ChainSpec:
     """The unique persymmetric chain whose Hamiltonian has this spectrum.
 
-    On-site energies are Rayleigh quotients of the recurrence polynomials;
-    coupling magnitudes are ratios of successive polynomial norms. Only the
-    first half is kept and mirrored (persymmetry), with the full pass used
-    as a cross-check of numerical health.
+    The chain is built from its centre out: the centre-site weights of the
+    even mirror block come from the interlaced spectra lam[0::2] (even) and
+    lam[1::2] (odd), one Householder tridiagonalization of their arrowhead
+    gives the even block, and the block is unfolded (odd N: its last coupling
+    over sqrt(2); even N: the centre coupling (sum(nu) - sum(mu))/2 added
+    back to its last site) and mirrored.
+
+    Raises ``ValueError`` for repeated eigenvalues and ``NumericalError``
+    when the spectrum of the result, from values-only solves of its two
+    mirror blocks, misses the input by more than CROSS_CHECK_TOL * spread.
     """
-    lam = np.asarray(s.values)
-    n = len(lam)
-    w = compute_weights(lam)
-    eps, j_off, _ = _recurrence(lam, w)
+    lam = np.asarray(s.values, dtype=float)
+    n = lam.size
+    spread = _check_simple(lam)
+    mu, nu = lam[0::2], lam[1::2]
 
-    half = (n + 1) // 2
-    onsite = np.concatenate([eps[:half], eps[: n - half][::-1]])
-    couplings = np.concatenate([j_off[: (n - 1 + 1) // 2],
-                                j_off[: (n - 1) // 2][::-1]])
+    k = mu.size
+    arrow = np.zeros((k + 1, k + 1), order="F")
+    arrow[1:, 0] = np.sqrt(_centre_weights(lam))
+    np.fill_diagonal(arrow[1:, 1:], mu)
+    # workspace for LAPACK's blocked reduction (block size 32) on long chains
+    _, d, e, _, info = lapack.dsytrd(arrow, lower=1, lwork=32 * (k + 1),
+                                     overwrite_a=1)
+    if info:
+        raise NumericalError(f"reconstruct: dsytrd failed (info {info})")
+    # the reduction keeps e_0 fixed, so T[1:, 1:] is the even block as the
+    # Lanczos process from the centre site builds it: reverse to end -> centre
+    block_d = d[:0:-1].copy()
+    block_e = np.abs(e[:0:-1])
+    if n % 2:
+        block_e[-1] /= np.sqrt(2.0)
+        onsite = np.concatenate([block_d, block_d[-2::-1]])
+        couplings = np.concatenate([block_e, block_e[::-1]])
+    else:
+        j_centre = 0.5 * (nu - mu).sum()
+        block_d[-1] += j_centre
+        onsite = np.concatenate([block_d, block_d[::-1]])
+        couplings = np.concatenate([block_e, [j_centre], block_e[::-1]])
 
-    spread = lam[-1] - lam[0]
-    asym = max(np.abs(onsite - eps).max(),
-               np.abs(couplings - j_off).max())
-    if asym > CROSS_CHECK_TOL * spread:
+    (even_d, even_e), (odd_d, odd_e) = mirror_bands(onsite, -couplings, n)
+    miss = max(_block_error(even_d, even_e, mu), _block_error(odd_d, odd_e, nu))
+    # "not <=": a NaN miss fails too
+    if not miss <= CROSS_CHECK_TOL * spread:
         raise NumericalError(
-            f"half-chain mirror disagrees with the full recurrence pass by "
-            f"{asym:.3e} (spectral spread {spread:.3e})"
+            f"reconstructed chain's spectrum misses the input by {miss:.3e} "
+            f"(spectral spread {spread:.3e})"
         )
     return ChainSpec(onsite=tuple(onsite), couplings=tuple(couplings),
                      sign_convention=sign_convention)
 
 
+def _spectrum_error(chain: ChainSpec, s: Spectrum) -> float:
+    """Max |input eigenvalue - eigenvalue of the chain reconstructed from it|."""
+    return float(np.abs(diagonalize_chain(chain).values - np.asarray(s.values)).max())
+
+
 def roundtrip_error(s: Spectrum) -> float:
     """Max |input eigenvalue - eigenvalue of the reconstructed chain|."""
-    spec = reconstruct(s)
-    es = diagonalize_chain(spec)
-    return float(np.abs(es.values - np.asarray(s.values)).max())
+    return _spectrum_error(reconstruct(s), s)

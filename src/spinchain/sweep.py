@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
-from .reconstruct import reconstruct, roundtrip_error
+from .reconstruct import _spectrum_error, reconstruct
 from .spectra import PinchSpec, pinched_spectrum
 
 SWEEP_CSV_HEADER = "N,p,std_J,max_rel_spread_J,std_eps,roundtrip_err"
@@ -77,7 +77,7 @@ def deviation_sweep(n_range, p_set, alpha: float = 0.5) -> list[SweepPoint]:
                     std_j=stats["std_dev"],
                     max_rel_spread_j=stats["max_rel_spread"],
                     std_eps=float(np.std(chain.onsite)),
-                    roundtrip_err=roundtrip_error(spectrum),
+                    roundtrip_err=_spectrum_error(chain, spectrum),
                 ))
             except (ValueError, ArithmeticError, RuntimeError) as exc:
                 points.append(SweepPoint(

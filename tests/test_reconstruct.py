@@ -1,9 +1,10 @@
-"""Inverse reconstruction: weights, recurrence, persymmetry, round trips."""
+"""Inverse reconstruction: weights, centre-site reduction, persymmetry, round trips."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from spinchain import (
     NumericalError,
@@ -19,6 +20,7 @@ from spinchain import (
     roundtrip_error,
     spectral_symmetry_check,
 )
+from spinchain.chain import mirror_bands, tridiagonal
 
 
 def compute_weights_loop(values):
@@ -28,6 +30,35 @@ def compute_weights_loop(values):
     for k in range(len(lam)):
         w[k] = 1.0 / np.prod(np.abs(lam[k] - np.delete(lam, k)))
     return w
+
+
+def stieltjes_reconstruct(values):
+    """The three-term (Stieltjes) recurrence on the end-site weights, its
+    first half mirrored: the former ``reconstruct``, kept as a reference."""
+    lam = np.asarray(values, dtype=float)
+    n = len(lam)
+    sqrt_w = np.sqrt(compute_weights(lam))
+    u_prev, u = np.zeros(n), sqrt_w / np.linalg.norm(sqrt_w)
+    eps, j_off = np.empty(n), np.empty(n - 1)
+    for j in range(n):
+        eps[j] = np.sum(lam * u * u)
+        if j == n - 1:
+            break
+        r = (lam - eps[j]) * u - (j_off[j - 1] if j > 0 else 0.0) * u_prev
+        j_off[j] = np.linalg.norm(r)
+        u_prev, u = u, r / j_off[j]
+    half = (n + 1) // 2
+    onsite = np.concatenate([eps[:half], eps[: n - half][::-1]])
+    couplings = np.concatenate([j_off[: n // 2], j_off[: (n - 1) // 2][::-1]])
+    return onsite, couplings
+
+
+def simple_spectra():
+    """Ascending spectra of 2..200 levels with gaps within a factor 100."""
+    return st.tuples(
+        st.floats(-50.0, 50.0),
+        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=199),
+    ).map(lambda t: Spectrum(values=tuple(t[0] + np.concatenate([[0.0], np.cumsum(t[1])]))))
 
 
 def three_level(p):
@@ -105,6 +136,50 @@ class TestReconstruct:
             ok, violation = check_mirror_symmetry(chain, tol=0.0)
             assert ok and violation == 0.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(simple_spectra())
+    def test_inverts_diagonalize_chain(self, s):
+        lam = np.asarray(s.values)
+        chain = reconstruct(s)
+        es = diagonalize_chain(chain)
+        assert np.abs(es.values - lam).max() <= 1e-10 * (lam[-1] - lam[0])
+        assert check_mirror_symmetry(chain, tol=0.0) == (True, 0.0)
+
+    def test_mirror_blocks_hold_alternate_levels(self):
+        for n in (2, 3, 4, 5, 12, 41, 85):
+            s = pinched_spectrum(PinchSpec(n=n, p=7, alpha=0.5), shift=0.37)
+            lam = np.asarray(s.values)
+            chain = reconstruct(s)
+            blocks = mirror_bands(np.array(chain.onsite), -np.array(chain.couplings), n)
+            for (d, e), target in zip(blocks, (lam[0::2], lam[1::2])):
+                values = np.linalg.eigvalsh(tridiagonal(d, e))
+                assert np.abs(values - target).max() <= 1e-12 * (lam[-1] - lam[0])
+
+    def test_perturbed_reduction_raises(self, monkeypatch, pst5_spectrum):
+        dsytrd = lapack.dsytrd
+
+        def perturbed(a, **kwargs):
+            c, d, e, tau, info = dsytrd(a, **kwargs)
+            return c, d + 1e-6, e, tau, info
+
+        monkeypatch.setattr(lapack, "dsytrd", perturbed)
+        with pytest.raises(NumericalError, match="spectrum misses the input by"):
+            reconstruct(pst5_spectrum)
+
+    def test_matches_stieltjes_reference(self):
+        rng = np.random.default_rng(2025)
+        worst = 0.0
+        for n in range(4, 86):
+            for p in range(3, 14, 2):
+                s = pinched_spectrum(PinchSpec(n=n, p=p, alpha=0.5),
+                                     shift=float(rng.uniform(-5.0, 5.0)))
+                onsite, couplings = stieltjes_reconstruct(s.values)
+                chain = reconstruct(s)
+                miss = max(np.abs(chain.onsite - onsite).max(),
+                           np.abs(chain.couplings - couplings).max())
+                worst = max(worst, miss / (s.values[-1] - s.values[0]))
+        assert worst <= 1e-12
+
     def test_sign_convention_forwarded(self, pst5_spectrum):
         pos = reconstruct(pst5_spectrum, sign_convention="positive")
         h = build_hamiltonian(pos)
@@ -128,15 +203,19 @@ class TestRoundTrip:
                 spread = s.values[-1] - s.values[0]
                 assert roundtrip_error(s) <= 1e-8 * spread
 
-    @pytest.mark.xfail(raises=NumericalError, strict=False,
-                       reason="the plain Stieltjes recurrence loses orthogonality "
-                              "(ROADMAP item 2: Lanczos reconstruction)")
     def test_shifted_pinched_n85(self):
-        # the mirror cross-check misses by 1.003e-6 against a bound of 8.32e-7;
-        # with a 20% margin another BLAS may round it to a pass
+        # the Stieltjes recurrence lost orthogonality here: its mirror
+        # cross-check missed by 1.003e-6 against a bound of 8.32e-7
         s = pinched_spectrum(PinchSpec(n=85, p=5, alpha=0.5), shift=-2.740285928251791)
         spread = s.values[-1] - s.values[0]
         assert roundtrip_error(s) <= 1e-8 * spread
+
+    @pytest.mark.parametrize("n", [100, 500, 1000])
+    def test_shifted_pinched_long(self, n):
+        for p in (3, 9):
+            s = pinched_spectrum(PinchSpec(n=n, p=p, alpha=0.5), shift=-2.740285928251791)
+            spread = s.values[-1] - s.values[0]
+            assert roundtrip_error(s) <= 1e-10 * spread
 
 
 class TestPolynomialTable:
@@ -147,6 +226,11 @@ class TestPolynomialTable:
                 table = polynomial_table(s)
                 for j in range(n):
                     assert table.sign_changes(j) == j
+
+    def test_weight_underflow_raises(self):
+        s = pinched_spectrum(PinchSpec(n=200, p=3, alpha=0.5))
+        with pytest.raises(NumericalError, match="end-site weights out of range"):
+            polynomial_table(s)
 
     def test_constant_start(self):
         table = polynomial_table(Spectrum(values=(0.0, 1.0, 2.5)))

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from spinchain import (
+    PinchSpec,
     check_pst_condition,
     christandl_chain,
     coupling_statistics,
     diagonalize_chain,
     deviation_sweep,
+    pinched_spectrum,
+    reconstruct,
+    roundtrip_error,
     Spectrum,
     transfer_fidelity,
 )
+from spinchain import sweep
 from spinchain.sweep import sweep_csv
 
 from conftest import uniform_chain
@@ -78,6 +83,16 @@ class TestDeviationSweep:
     def test_roundtrip_quality(self, points):
         for pt in points:
             assert pt.roundtrip_err <= 1e-8 * pt.n
+
+    def test_roundtrip_from_its_own_chain(self, points, monkeypatch):
+        for pt in points:
+            s = pinched_spectrum(PinchSpec(n=pt.n, p=pt.p, alpha=0.5))
+            assert pt.roundtrip_err == roundtrip_error(s)
+        calls = []
+        monkeypatch.setattr(sweep, "reconstruct",
+                            lambda s: calls.append(s) or reconstruct(s))
+        deviation_sweep(range(4, 8), (3,))
+        assert len(calls) == 4
 
     def test_rejects_even_p(self):
         with pytest.raises(ValueError):
