@@ -3,9 +3,9 @@
 A uniformly coupled chain obeys a discrete Schrodinger equation, so its
 eigenstates behave like bound states in a potential well: the k-th state has
 k nodes and alternating mirror parity. For pinched PST spectra one can also
-build harmonic-oscillator-like ladder operators, a discrete position
-operator X, and verify the pairing theorem ({X, M} = 0 forces +-x eigenvalue
-pairs, plus a zero mode for odd chain length).
+build harmonic-oscillator-like ladder operators (one band in the energy
+eigenbasis), a discrete position operator X, and verify the pairing theorem
+({X, M} = 0 forces +-x eigenvalue pairs, plus a zero mode for odd length).
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .chain import ChainSpec, EigenSystem
 
 UNIFORM_TOL = 1e-9
 PINCHED_FORM_TOL = 1e-6
+_PAIR_TOL = 1e-9
 
 
 def schrodinger_residual(spec: ChainSpec, es: EigenSystem) -> np.ndarray:
@@ -62,21 +64,27 @@ def node_count(es: EigenSystem) -> list[int]:
 
 @dataclass(frozen=True)
 class LadderPair:
-    """Raising/lowering operators in the energy eigenbasis.
+    """Raising/lowering operators in the energy eigenbasis, held as one band.
 
-    ``raise_op`` steps up the pinched-spectrum ladder and annihilates the top
-    state; ``lower_op`` is its transpose. The product raise*lower equals the
-    ground-shifted Hamiltonian.
+    The raising operator has ``sub`` below its diagonal and annihilates the
+    top state; ``raise_op`` and ``lower_op`` are dense views built on demand.
     """
 
-    raise_op: np.ndarray
-    lower_op: np.ndarray
+    sub: np.ndarray
     gamma: float
     p: int
 
     @property
     def n(self) -> int:
-        return self.raise_op.shape[0]
+        return self.sub.size + 1
+
+    @property
+    def raise_op(self) -> np.ndarray:
+        return np.diag(self.sub, -1)
+
+    @property
+    def lower_op(self) -> np.ndarray:
+        return np.diag(self.sub, 1)
 
     def number_operator(self) -> np.ndarray:
         """a_dag a; equals the ground-shifted Hamiltonian in the eigenbasis."""
@@ -84,15 +92,17 @@ class LadderPair:
 
     def commutator(self) -> np.ndarray:
         """[a, a_dag] = a a_dag - a_dag a."""
-        return self.lower_op @ self.raise_op - self.raise_op @ self.lower_op
+        return self.lower_op @ self.raise_op - self.number_operator()
 
     def expected_commutator(self) -> np.ndarray:
         """Closed form of [a, a_dag]: identity with two end-of-ladder corrections."""
-        n, p, gamma = self.n, self.p, self.gamma
-        diag = np.ones(n)
-        diag[n - 2] -= 1.0 - 1.0 / p
-        diag[n - 1] -= n - 1.0 + 1.0 / p
-        return gamma * np.diag(diag)
+        return np.diag(self._commutator_diagonal())
+
+    def _commutator_diagonal(self) -> np.ndarray:
+        diag = np.ones(self.n)
+        diag[-2] -= 1.0 - 1.0 / self.p
+        diag[-1] -= self.n - 1.0 + 1.0 / self.p
+        return self.gamma * diag
 
 
 def shifted_values(es: EigenSystem) -> np.ndarray:
@@ -121,9 +131,7 @@ def build_ladder(es: EigenSystem, p: int, gamma: float) -> LadderPair:
         )
     sub = np.sqrt(gamma) * np.sqrt(np.arange(1, n, dtype=float))
     sub[n - 2] = np.sqrt(gamma) * np.sqrt(n - 2 + 1.0 / p)
-    raise_op = np.diag(sub, -1)
-    return LadderPair(raise_op=raise_op, lower_op=raise_op.T.copy(),
-                      gamma=float(gamma), p=int(p))
+    return LadderPair(sub=sub, gamma=float(gamma), p=int(p))
 
 
 @dataclass(frozen=True)
@@ -162,24 +170,27 @@ class PairingReport:
     zero_mode: bool
 
 
+def _pair_off(x_values: np.ndarray, pair_tol: float = _PAIR_TOL) -> tuple:
+    """(+-x pairs, zero mode) of X's ascending eigenvalues."""
+    half = x_values.size // 2
+    pairs = tuple(zip(x_values[:half].tolist(), x_values[::-1][:half].tolist()))
+    return pairs, bool(x_values.size % 2 == 1 and abs(x_values[half]) <= pair_tol)
+
+
 def pairing_check(xop: PositionOperator, m_eigenbasis: np.ndarray,
                   anticomm_tol: float = 1e-10,
-                  pair_tol: float = 1e-9) -> PairingReport:
+                  pair_tol: float = _PAIR_TOL) -> PairingReport:
     """Verify {X, M} = 0 and the +-x pairing of X's spectrum.
 
     For odd dimension one eigenvalue must sit at zero (within ``pair_tol``);
     even dimensions pair off completely.
     """
     x = xop.x
-    n = x.shape[0]
     anti = x @ m_eigenbasis + m_eigenbasis @ x
     anorm = float(np.abs(anti).max())
     xvals = np.linalg.eigvalsh(x)
     residual = float(np.abs(xvals + xvals[::-1]).max())
-    pairs = tuple(
-        (float(xvals[i]), float(xvals[n - 1 - i])) for i in range(n // 2)
-    )
-    zero_mode = bool(n % 2 == 1 and abs(xvals[n // 2]) <= pair_tol)
+    pairs, zero_mode = _pair_off(xvals, pair_tol)
     return PairingReport(
         anticommutes=bool(anorm <= anticomm_tol),
         anticommutator_norm=anorm,
@@ -192,19 +203,22 @@ def pairing_check(xop: PositionOperator, m_eigenbasis: np.ndarray,
 
 def diagnostics_report(spec: ChainSpec, es: EigenSystem, p: int,
                        gamma: float) -> dict:
-    """Bundle of analogue diagnostics in a JSON-friendly shape."""
+    """Bundle of analogue diagnostics in a JSON-friendly shape.
+
+    Built from the ladder's band with no N x N array, and bit for bit equal to
+    the dense composition: its products add only exact zeros, and the spectrum
+    of the tridiagonal X comes from the same LAPACK dsterf as ``eigvalsh``.
+    """
     ladder = build_ladder(es, p, gamma)
-    h_shifted = np.diag(shifted_values(es))
-    ladder_residual = float(np.abs(h_shifted - ladder.number_operator()).max())
-    commutator_residual = float(
-        np.abs(ladder.commutator() - ladder.expected_commutator()).max()
-    )
-    xop = position_operator(ladder)
-    report = pairing_check(xop, mirror_in_eigenbasis(es))
+    number = np.insert(np.square(ladder.sub), 0, 0.0)  # a_dag a = diag(0, sub^2)
+    # [a, a_dag] = R^T R - R R^T, with R^T R = diag(sub^2, 0)
+    commutator = np.append(number[1:], 0.0) - number - ladder._commutator_diagonal()
+    x_values = eigvalsh_tridiagonal(np.zeros(ladder.n), 0.5 * ladder.sub)
+    pairs, zero_mode = _pair_off(x_values)
     return {
         "nodes": node_count(es),
-        "ladder_residual": ladder_residual,
-        "commutator_residual": commutator_residual,
-        "x_pairs": [list(pair) for pair in report.pairs],
-        "zero_mode": report.zero_mode,
+        "ladder_residual": float(np.abs(shifted_values(es) - number).max()),
+        "commutator_residual": float(np.abs(commutator).max()),
+        "x_pairs": [list(pair) for pair in pairs],
+        "zero_mode": zero_mode,
     }

@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from .chain import ChainSpec, diagonalize_chain
 from .dynamics import revival_peaks, trace
 from .errors import NumericalError
 from .ga import GAConfig, evolve
-from .reconstruct import reconstruct, roundtrip_error
+from .reconstruct import _spectrum_error, reconstruct
 from .spectra import PinchSpec, Spectrum, infer_pinch, pinched_spectrum, snap_to_pst
 from .sweep import deviation_sweep, sweep_csv
 from .analogue import diagnostics_report
@@ -113,8 +114,9 @@ def cmd_reconstruct(args) -> int:
         spectrum = Spectrum.from_dict(_load_json(args.spectrum))
         inputs = [args.spectrum]
 
-    chain = reconstruct(spectrum, sign_convention=args.convention)
-    err = roundtrip_error(spectrum)
+    chain = reconstruct(spectrum)  # the negative convention, as in roundtrip_error
+    err = _spectrum_error(chain, spectrum)
+    chain = dataclasses.replace(chain, sign_convention=args.convention)
 
     out = _out_dir(args)
     _write_json(out / "chain.json", chain.to_dict())

@@ -126,20 +126,14 @@ def check_pst_condition(s: Spectrum, tol: float = PST_TOL) -> PstCheck:
         ratio = gaps / delta
         q = np.maximum(1, 2 * np.round((ratio - 1) / 2).astype(int) + 1)
         residual = float(np.abs(gaps - q * delta).max() / mean_gap)
-        if residual <= tol:
-            return PstCheck(
-                valid=True,
-                t_m=float(np.pi / delta),
-                q=tuple(int(v) for v in q),
-                max_residual=residual,
-                delta=delta,
-            )
         if best is None or residual < best[0]:
             best = (residual, delta, q)
+        if residual <= tol:  # the best so far: every earlier candidate missed tol
+            break
 
     residual, delta, q = best
     return PstCheck(
-        valid=False,
+        valid=residual <= tol,
         t_m=float(np.pi / delta),
         q=tuple(int(v) for v in q),
         max_residual=residual,

@@ -1,5 +1,7 @@
 """Particle-analogue diagnostics: nodes, ladder algebra, pairing theorem."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from spinchain import (
     ChainSpec,
     EigenSystem,
     PinchSpec,
+    christandl_chain,
     diagonalize_chain,
     pinched_spectrum,
     reconstruct,
@@ -201,6 +204,56 @@ class TestDiagnosticsReport:
         assert report["commutator_residual"] <= 1e-10
         assert report["zero_mode"] is True
         assert len(report["x_pairs"]) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 120), p=st.sampled_from(range(1, 14, 2)),
+           alpha=st.floats(0.2, 2.0), shift=st.floats(-5.0, 5.0))
+    def test_equals_dense_composition(self, n, p, alpha, shift):
+        # the band-native report against the dense operators, bit for bit
+        chain = reconstruct(pinched_spectrum(PinchSpec(n=n, p=p, alpha=alpha),
+                                             shift=shift))
+        es = diagonalize_chain(chain)
+        gamma = 2.0 * alpha
+        ladder = build_ladder(es, p=p, gamma=gamma)
+        h_shifted = np.diag(shifted_values(es))
+        pairing = pairing_check(position_operator(ladder), mirror_in_eigenbasis(es))
+        dense = {
+            "nodes": node_count(es),
+            "ladder_residual": float(np.abs(h_shifted - ladder.number_operator()).max()),
+            "commutator_residual": float(np.abs(
+                ladder.commutator() - ladder.expected_commutator()).max()),
+            "x_pairs": [list(pair) for pair in pairing.pairs],
+            "zero_mode": pairing.zero_mode,
+        }
+        assert repr(diagnostics_report(chain, es, p=p, gamma=gamma)) == repr(dense)
+
+    def test_builds_no_dense_operator(self):
+        # one 1024 x 1024 float64 operator is 8 MiB; the dense composition
+        # peaked at 72 MiB here, node_count's masks and indices need ~13-21
+        chain = christandl_chain(1024, 1.0)
+        es = diagonalize_chain(chain)
+        tracemalloc.start()
+        try:
+            report = diagnostics_report(chain, es, p=1, gamma=2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report["ladder_residual"] <= 1e-9
+        assert len(report["x_pairs"]) == 512 and report["zero_mode"] is False
+        assert peak <= 32 * 2**20
+
+    @pytest.mark.parametrize("n", [4, 9, 40, 85])
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_non_unit_spacing(self, n, p):
+        alpha, shift = 0.35, -2.74
+        gamma = 2.0 * alpha
+        chain = reconstruct(pinched_spectrum(PinchSpec(n=n, p=p, alpha=alpha),
+                                             shift=shift))
+        report = diagnostics_report(chain, diagonalize_chain(chain), p=p, gamma=gamma)
+        assert report["ladder_residual"] <= 1e-10 * max(1.0, gamma)
+        assert report["commutator_residual"] <= 1e-10 * max(1.0, gamma)
+        assert report["zero_mode"] is (n % 2 == 1)
+        assert len(report["x_pairs"]) == n // 2
 
 
 def test_analogue_rejects_even_p(pst5_es):

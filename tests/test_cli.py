@@ -1,5 +1,6 @@
 """CLI surface: subcommands, file formats, exit codes, reproducibility."""
 
+import importlib
 import json
 import tempfile
 import tracemalloc
@@ -11,6 +12,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spinchain.cli
 from spinchain import (
     ChainSpec,
     GAConfig,
@@ -19,6 +21,7 @@ from spinchain import (
     evolve,
     pinched_spectrum,
     reconstruct,
+    roundtrip_error,
     trace,
 )
 from spinchain.cli import CSV_BLOCK_ROWS, _write_rows, main
@@ -209,6 +212,31 @@ class TestReconstruct:
 
     def test_no_input_exit_2(self, tmp_path):
         assert main(["reconstruct", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("convention", ["negative", "positive"])
+    def test_reconstructs_once(self, tmp_path, monkeypatch, capsys, convention):
+        # stdout and chain.json as reconstruct(..., convention) followed by a
+        # separate roundtrip_error gave them, from a single reconstruction
+        spectrum = pinched_spectrum(PinchSpec(n=41, p=5, alpha=0.5), shift=-1.3)
+        chain = reconstruct(spectrum, sign_convention=convention)
+        err = roundtrip_error(spectrum)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return reconstruct(*args, **kwargs)
+
+        # the CLI's own name and the one roundtrip_error calls
+        monkeypatch.setattr(spinchain.cli, "reconstruct", counted)
+        monkeypatch.setattr(importlib.import_module("spinchain.reconstruct"),
+                            "reconstruct", counted)
+        out = tmp_path / "rec"
+        assert main(["reconstruct", "--pinched", "41", "5", "0.5", "--shift", "-1.3",
+                     "--convention", convention, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"roundtrip error: {err:.3e}\n"
+        assert (out / "chain.json").read_text() == json.dumps(
+            chain.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert len(calls) == 1
 
 
 class TestSnap:

@@ -96,6 +96,31 @@ class TestPstCondition:
         assert a.t_m == pytest.approx(b.t_m, rel=1e-9)
 
 
+class TestPstConditionProperty:
+    # gaps that are odd multiples of a base (within some noise), or free ones
+    odd_gaps = st.builds(
+        lambda base, qs, noise: [base * q + noise * i for i, q in enumerate(qs)],
+        st.floats(0.05, 5.0), st.lists(st.sampled_from([1, 3, 5, 7, 9]),
+                                       min_size=1, max_size=20),
+        st.sampled_from([0.0, 1e-12, 1e-7, 1e-3]))
+    free_gaps = st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=20)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gaps=st.one_of(odd_gaps, free_gaps), start=st.floats(-10.0, 10.0),
+           tol=st.sampled_from([1e-9, 1e-6, 1e-3, 0.1]))
+    def test_valid_iff_residual_within_tol(self, gaps, start, tol):
+        s = Spectrum(values=tuple(start + np.concatenate([[0.0], np.cumsum(gaps)])))
+        check = check_pst_condition(s, tol=tol)
+        assert check.valid == (check.max_residual <= tol)
+        g = s.gaps()
+        q = np.array(check.q)
+        assert (q % 2 == 1).all()
+        # pi / t_m recovers the base gap to a few ulps, scaled by q
+        residual = np.abs(g - q * (np.pi / check.t_m)).max() / g.mean()
+        assert residual == pytest.approx(check.max_residual, rel=1e-9,
+                                         abs=1e-14 * q.max())
+
+
 class TestSnap:
     def test_qpst_rounds_onto_pst_family(self):
         snapped = snap_to_pst(Spectrum(values=QPST_VALUES), p=3)
