@@ -16,6 +16,7 @@ reconstruction) works with the ``EigenSystem`` produced here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class ChainSpec:
     sign_convention: str = "negative"
 
     def __post_init__(self):
-        object.__setattr__(self, "onsite", tuple(float(e) for e in self.onsite))
-        object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
+        object.__setattr__(self, "onsite", tuple(map(float, self.onsite)))
+        object.__setattr__(self, "couplings", tuple(map(float, self.couplings)))
         if self.n < 2:
             raise ValueError(f"chain needs at least 2 sites, got {self.n}")
         if len(self.couplings) != self.n - 1:
@@ -55,9 +56,9 @@ class ChainSpec:
                 f"expected {self.n - 1} couplings for {self.n} sites, "
                 f"got {len(self.couplings)}"
             )
-        if not all(np.isfinite(self.onsite)) or not all(np.isfinite(self.couplings)):
+        if not all(map(math.isfinite, self.onsite + self.couplings)):
             raise ValueError("on-site energies and couplings must be finite")
-        if any(j == 0.0 for j in self.couplings):
+        if 0.0 in self.couplings:
             raise ValueError("zero coupling disconnects the chain")
         if self.sign_convention not in SIGN_CONVENTIONS:
             raise ValueError(

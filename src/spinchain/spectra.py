@@ -8,6 +8,8 @@ for odd p.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +33,12 @@ class Spectrum:
     t_m: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if len(self.values) < 2:
             raise ValueError("spectrum needs at least 2 eigenvalues")
-        if not all(np.isfinite(self.values)):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError("eigenvalues must be finite")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        if not all(map(operator.lt, self.values, self.values[1:])):
             raise ValueError("eigenvalues must be strictly ascending")
 
     @property

@@ -8,6 +8,8 @@ from spinchain import ChainSpec, Spectrum, diagonalize_chain, reconstruct
 QPST_ONSITE = (3.40, 2.60, 2.33, 2.60, 3.40)
 QPST_COUPLING = 0.91
 PST5_VALUES = (1.0, 2.0, 3.0, 4.0, 13.0 / 3.0)
+# containers a chain or spectrum may be built from (``as_kind``)
+CONTAINER_KINDS = [tuple, list, np.float64, np.float32, np.int64]
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +60,18 @@ def scaled_eigenvectors(solve):
         values, vectors = solve(d, e)
         return values, 1.1 * vectors
     return fake
+
+
+def float_error(entry) -> str:
+    """The TypeError message ``float()`` gives for an entry it cannot convert."""
+    with pytest.raises(TypeError) as info:
+        float(entry)
+    return str(info.value)
+
+
+def as_kind(values, kind):
+    """``values`` as a tuple, a list or a numpy array of the given dtype."""
+    if kind in (tuple, list):
+        return kind(values)
+    return np.array(values, dtype=kind)
+

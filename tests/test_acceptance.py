@@ -152,7 +152,7 @@ def test_criterion_08_analogue_suite():
             ladder = build_ladder(es, p=p, gamma=gamma)
             h_shifted = np.diag(shifted_values(es))
             worst["hprime"] = max(worst["hprime"], float(
-                np.abs(h_shifted - gamma * ladder.number_operator()).max()))
+                np.abs(h_shifted - ladder.number_operator()).max()))
             worst["comm"] = max(worst["comm"], float(
                 np.abs(ladder.commutator() - ladder.expected_commutator()).max()))
             xop = position_operator(ladder)

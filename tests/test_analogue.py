@@ -121,7 +121,16 @@ class TestLadder:
     def test_number_operator_matches_shifted_hamiltonian(self, pst5_es):
         ladder = build_ladder(pst5_es, p=3, gamma=1.0)
         h_shifted = np.diag(shifted_values(pst5_es))
-        assert np.abs(h_shifted - ladder.gamma * ladder.number_operator()).max() <= 1e-10
+        assert np.abs(h_shifted - ladder.number_operator()).max() <= 1e-10
+
+    def test_number_operator_carries_gamma(self):
+        # at gamma != 1 a second factor of gamma would miss by (1 - gamma) H'
+        es = diagonalize_chain(reconstruct(
+            pinched_spectrum(PinchSpec(n=5, p=3, alpha=0.35))))
+        ladder = build_ladder(es, p=3, gamma=0.7)
+        h_shifted = np.diag(shifted_values(es))
+        assert np.abs(h_shifted - ladder.number_operator()).max() <= 1e-10
+        assert np.abs(h_shifted - 0.7 * ladder.number_operator()).max() >= 0.1
 
     def test_top_state_annihilated(self, pst5_es):
         ladder = build_ladder(pst5_es, p=3, gamma=1.0)

@@ -24,7 +24,14 @@ from spinchain import (
 )
 from spinchain.chain import tridiagonal
 
-from conftest import random_mirror_chain, scaled_eigenvectors, uniform_chain
+from conftest import (
+    CONTAINER_KINDS,
+    as_kind,
+    float_error,
+    random_mirror_chain,
+    scaled_eigenvectors,
+    uniform_chain,
+)
 
 
 def seed13_mirror_chains():
@@ -154,6 +161,41 @@ class TestChainSpec:
     def test_from_dict_checks_n(self):
         with pytest.raises(ValueError):
             ChainSpec.from_dict({"n": 4, "onsite": [0, 0], "couplings": [1]})
+
+    @pytest.mark.parametrize("kind", CONTAINER_KINDS)
+    def test_stores_python_floats(self, kind):
+        onsite = as_kind([3.4, 2.6, -2.33, 2.6, 3.4], kind)
+        couplings = as_kind([1.91, 1.7, 1.7, 1.91], kind)
+        spec = ChainSpec(onsite=onsite, couplings=couplings)
+        for stored, given in ((spec.onsite, onsite), (spec.couplings, couplings)):
+            assert type(stored) is tuple
+            assert all(type(v) is float for v in stored)
+            assert stored == tuple(float(v) for v in given)
+
+    @pytest.mark.parametrize("onsite, couplings, exc, message", [
+        ((0.0, float("nan")), (1.0,), ValueError,
+         "on-site energies and couplings must be finite"),
+        ((0.0, 0.0), (float("inf"),), ValueError,
+         "on-site energies and couplings must be finite"),
+        ((float("-inf"), 0.0), (1.0,), ValueError,
+         "on-site energies and couplings must be finite"),
+        ((0.0, 0.0, 0.0), (1.0, 0.0), ValueError, "zero coupling disconnects the chain"),
+        ((0.0, 0.0, 0.0), (-0.0, 1.0), ValueError, "zero coupling disconnects the chain"),
+        ((0.0,), (), ValueError, "chain needs at least 2 sites, got 1"),
+        ((0.0, None), (1.0,), TypeError, float_error(None)),
+        ((0.0, 0.0), (1j,), TypeError, float_error(1j)),
+        (([0.0], 0.0), (1.0,), TypeError, float_error([0.0])),
+        (np.zeros((2, 2)), (1.0,), TypeError, float_error(np.zeros(2))),
+    ])
+    def test_rejects(self, onsite, couplings, exc, message):
+        with pytest.raises(exc) as info:
+            ChainSpec(onsite=onsite, couplings=couplings)
+        assert str(info.value) == message
+
+    def test_from_dict_malformed_entry(self):
+        with pytest.raises(ValueError) as info:
+            ChainSpec.from_dict({"onsite": [0, None], "couplings": [1]})
+        assert str(info.value) == f"malformed chain object: {float_error(None)}"
 
 
 class TestBuildHamiltonian:

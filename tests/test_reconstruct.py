@@ -21,6 +21,7 @@ from spinchain import (
     spectral_symmetry_check,
 )
 from spinchain.chain import mirror_bands, tridiagonal
+from spinchain.reconstruct import _spectrum_error
 
 
 def compute_weights_loop(values):
@@ -216,6 +217,28 @@ class TestRoundTrip:
             s = pinched_spectrum(PinchSpec(n=n, p=p, alpha=0.5), shift=-2.740285928251791)
             spread = s.values[-1] - s.values[0]
             assert roundtrip_error(s) <= 1e-10 * spread
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 120), st.integers(0, 6), st.floats(0.2, 2.0),
+           st.floats(-5.0, 5.0))
+    def test_values_only_matches_eigensolve(self, n, half_p, alpha, shift):
+        # the values-only figure against the full eigensolve of the same chain
+        s = pinched_spectrum(PinchSpec(n=n, p=2 * half_p + 1, alpha=alpha),
+                             shift=shift)
+        lam = np.asarray(s.values)
+        spread = lam[-1] - lam[0]
+        full = np.abs(diagonalize_chain(reconstruct(s)).values - lam).max()
+        values_only = roundtrip_error(s)
+        assert abs(values_only - full) <= 1e-12 * spread
+        assert max(values_only, full) <= 1e-10 * spread
+
+    @pytest.mark.parametrize("n", [5, 6, 41, 42])
+    def test_either_convention(self, n):
+        # the positive convention flips the off-diagonal signs (and swaps the
+        # blocks at even N); dsterf sees only their squares
+        s = pinched_spectrum(PinchSpec(n=n, p=5, alpha=0.5), shift=-1.3)
+        positive = _spectrum_error(reconstruct(s, sign_convention="positive"), s)
+        assert positive == _spectrum_error(reconstruct(s), s) == roundtrip_error(s)
 
 
 class TestPolynomialTable:

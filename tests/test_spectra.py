@@ -16,7 +16,7 @@ from spinchain import (
 )
 from spinchain.spectra import infer_pinch
 
-from conftest import uniform_chain
+from conftest import CONTAINER_KINDS, as_kind, float_error, uniform_chain
 
 QPST_VALUES = (1.006, 2.006, 3.001, 3.994, 4.326)
 
@@ -32,6 +32,30 @@ class TestSpectrum:
         assert again.values == s.values
         assert again.p == 3
         assert again.t_m == pytest.approx(3 * np.pi)
+
+    @pytest.mark.parametrize("kind", CONTAINER_KINDS)
+    def test_stores_python_floats(self, kind):
+        given = as_kind([-3.0, -1.25, 0.0, 2.6, 7.0], kind)
+        s = Spectrum(values=given)
+        assert type(s.values) is tuple
+        assert all(type(v) is float for v in s.values)
+        assert s.values == tuple(float(v) for v in given)
+
+    @pytest.mark.parametrize("values, exc, message", [
+        ((0.0, float("nan")), ValueError, "eigenvalues must be finite"),
+        ((0.0, float("inf")), ValueError, "eigenvalues must be finite"),
+        ((float("-inf"), 0.0), ValueError, "eigenvalues must be finite"),
+        ((0.0, 2.0, 1.0), ValueError, "eigenvalues must be strictly ascending"),
+        ((0.0, 1.0, 1.0), ValueError, "eigenvalues must be strictly ascending"),
+        ((1.0,), ValueError, "spectrum needs at least 2 eigenvalues"),
+        ((None, 1.0), TypeError, float_error(None)),
+        ((0.0, 1j), TypeError, float_error(1j)),
+        (([0.0], 1.0), TypeError, float_error([0.0])),
+    ])
+    def test_rejects(self, values, exc, message):
+        with pytest.raises(exc) as info:
+            Spectrum(values=values)
+        assert str(info.value) == message
 
 
 class TestPinchedSpectrum:

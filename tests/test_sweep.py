@@ -113,6 +113,17 @@ class TestDeviationSweep:
 
 
 class TestSweepShape:
+    def test_large_n_closed_form(self):
+        # alpha = 1/2 tends to the Christandl profile J_i ~ sqrt(i(N-i))/2, whose
+        # population std over N tends to sqrt(1/24 - pi^2/256)
+        limit = np.sqrt(1.0 / 24.0 - np.pi ** 2 / 256.0)
+        points = deviation_sweep([1000, 2048], [3, 9])
+        assert all(pt.error is None for pt in points)
+        for pt in points:
+            assert pt.std_j / pt.n == pytest.approx(limit, rel=0.01)
+            # n - 2 + 1/p: the spectral spread at alpha = 1/2
+            assert pt.roundtrip_err <= 1e-10 * (pt.n - 2 + 1 / pt.p)
+
     def test_well_and_saturation(self):
         ns = range(4, 41)
         points = deviation_sweep(ns, (3, 5, 7, 9))
