@@ -3,15 +3,14 @@
 A chain is a set of on-site energies and nearest-neighbour couplings; in the
 single-excitation subspace its Hamiltonian is a real symmetric tridiagonal
 matrix, held natively as its two bands (diagonal, off-diagonal). Only this
-module lays bands out: ``tridiagonal`` makes dense matrices of them and
-``mirror_bands`` splits palindromic chains into the bands of their even and
-odd half-size blocks (basis (e_i +- e_{N+1-i})/sqrt(2)), both batched, so the
-GA solves its genomes through the same split. The eigensolver checks its
-eigenpairs on the bands and solves an exactly palindromic chain as its
-blocks, so its eigenvectors are exact mirror eigenstates; it stores
-eigenvectors as rows, and a mirror chain's top half is signed once and
-mirrored into the bottom half. Everything downstream (dynamics, spectra,
-reconstruction) works with the ``EigenSystem`` produced here.
+module lays bands out and calls a tridiagonal eigensolver. ``mirror_bands``
+splits palindromic chains into the bands of their even and odd half-size
+blocks (basis (e_i +- e_{N+1-i})/sqrt(2)); ``eigendecompose`` (checked
+eigenpairs), ``mirror_values`` (values only, the inverse path's check) and
+``mirror_spectra`` (batched, the GA's) solve through that split. The
+eigensolver stores eigenvectors as rows; a mirror chain's top half is signed
+once and mirrored into the bottom half, so its eigenvectors are exact mirror
+eigenstates.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NumericalError
 
@@ -153,6 +153,36 @@ def mirror_bands(d: np.ndarray, e: np.ndarray, n: int):
     return (even_d, odd_e), (odd_d, odd_e)
 
 
+def band_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the tridiagonal bands (d, e), values only."""
+    if d.size == 1:
+        return d
+    values, info = lapack.dsterf(d, e)
+    if info:
+        raise NumericalError(f"dsterf did not converge (info {info}, N={d.size})")
+    return values
+
+
+def mirror_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the palindromic chain with bands (d, e): its two
+    blocks' ``band_values`` merged, so either sign of ``e`` gives the same."""
+    values = np.concatenate([band_values(*block) for block in mirror_bands(d, e, d.size)])
+    values.sort()
+    return values
+
+
+def mirror_spectra(d: np.ndarray, e: np.ndarray, n: int):
+    """Eigenvalues ``lam`` and end weights ``w`` = V[0]*V[-1] of n-site palindromic
+    chains, batched like ``mirror_bands``: one ``eigh`` per block stack, ``lam``
+    in block order (even block ascending, then odd). A block vector u is the
+    chain vector (u, +-u reversed)/sqrt(2), so w = +-u[0]^2/2."""
+    (even_d, even_e), (odd_d, odd_e) = mirror_bands(d, e, n)
+    even_lam, u_even = np.linalg.eigh(tridiagonal(even_d, even_e))
+    odd_lam, u_odd = np.linalg.eigh(tridiagonal(odd_d, odd_e))
+    w = 0.5 * np.concatenate([u_even[..., 0, :] ** 2, -u_odd[..., 0, :] ** 2], axis=-1)
+    return np.concatenate([even_lam, odd_lam], axis=-1), w
+
+
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense single-excitation Hamiltonian: the on-site energies on the diagonal,
     the coupling magnitudes signed per the chain's convention off it."""
@@ -174,9 +204,9 @@ def _fix_row_signs(rows: np.ndarray) -> None:
     np.negative(rows, out=rows, where=(lead < 0.0)[:, None])
 
 
-def _solve_checked(d: np.ndarray, upper: np.ndarray, lower: np.ndarray, h_max: float,
+def _solve_checked(d: np.ndarray, e: np.ndarray, h_max: float,
                    n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the tridiagonal bands (d, upper, lower), checked on the bands.
+    """Eigenpairs of the symmetric tridiagonal bands (d, e), checked on the bands.
 
     Returns the eigenvalues and the eigenvectors as rows (the transpose of
     the solver's Fortran-ordered columns, so C-ordered). ``h_max`` scales the
@@ -187,7 +217,7 @@ def _solve_checked(d: np.ndarray, upper: np.ndarray, lower: np.ndarray, h_max: f
         if d.size == 1:
             values, vectors = d.copy(), np.eye(1)
         else:
-            values, vectors = scipy.linalg.eigh_tridiagonal(d, upper)
+            values, vectors = scipy.linalg.eigh_tridiagonal(d, e)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError(f"eigendecompose: eigh_tridiagonal did not converge "
                              f"(N={n})") from exc
@@ -204,9 +234,9 @@ def _solve_checked(d: np.ndarray, upper: np.ndarray, lower: np.ndarray, h_max: f
     vt = vectors.T
     r = d - values[:, None]
     r *= vt
-    shifted = np.multiply(vt[:, 1:], upper)
+    shifted = np.multiply(vt[:, 1:], e)
     r[:, :-1] += shifted
-    r[:, 1:] += np.multiply(vt[:, :-1], lower, out=shifted)
+    r[:, 1:] += np.multiply(vt[:, :-1], e, out=shifted)
     resid = np.abs(r, out=r).max()
     if not resid <= RESIDUAL_TOL * max(h_max, 1e-300):
         raise NumericalError(f"eigendecompose: eigenpair residual {resid:.3e} (N={n})")
@@ -225,8 +255,8 @@ def _solve_mirror(d: np.ndarray, e: np.ndarray, h_max: float) -> EigenSystem:
     n = d.size
     m = n // 2
     (even_d, even_e), (odd_d, odd_e) = mirror_bands(d, e, n)
-    even_values, even = _solve_checked(even_d, even_e, even_e, h_max, n)
-    odd_values, odd = _solve_checked(odd_d, odd_e, odd_e, h_max, n)
+    even_values, even = _solve_checked(even_d, even_e, h_max, n)
+    odd_values, odd = _solve_checked(odd_d, odd_e, h_max, n)
 
     values = np.concatenate([even_values, odd_values])
     order = np.argsort(values, kind="stable")
@@ -256,8 +286,9 @@ def eigendecompose(h) -> EigenSystem:
     """Diagonalize a real symmetric tridiagonal matrix.
 
     ``h`` is the dense N x N matrix or a tuple ``(diagonal, off_diagonal)``
-    of its bands. A dense matrix is checked for structure and reduced to its
-    bands, on which the eigenpair checks run.
+    of its bands. A dense matrix is checked for structure (square,
+    tridiagonal, symmetric within 1e-12) and reduced to its diagonal and upper
+    band; the solve and its eigenpair checks see only those.
 
     A palindromic matrix (bands equal to their reversals, exactly) is solved
     as its even and odd half-size blocks, each checked on its own bands with
@@ -269,29 +300,25 @@ def eigendecompose(h) -> EigenSystem:
     eigenpairs fail the orthonormality or residual check.
     """
     if isinstance(h, tuple):
-        d, upper = (np.asarray(band, dtype=float) for band in h)
-        if d.ndim != 1 or upper.shape != (d.size - 1,):
+        d, e = (np.asarray(band, dtype=float) for band in h)
+        if d.ndim != 1 or e.shape != (d.size - 1,):
             raise ValueError(f"expected bands of lengths N and N-1, "
-                             f"got shapes {d.shape} and {upper.shape}")
-        lower = upper
+                             f"got shapes {d.shape} and {e.shape}")
     else:
         h = np.asarray(h, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {h.shape}")
         if np.triu(h, 2).any() or np.tril(h, -2).any():
             raise ValueError("matrix is not tridiagonal")
-        d, upper, lower = np.diag(h), np.diag(h, 1), np.diag(h, -1)
-    n = d.size
-    h_max = max(np.abs(d).max(), np.abs(upper).max(initial=0.0))
-    if lower is not upper:  # a dense matrix's two off-diagonals
-        h_max = max(h_max, np.abs(lower).max(initial=0.0))
-        if np.abs(upper - lower).max(initial=0.0) > 1e-12 * max(1.0, h_max):
+        d, e = np.diag(h), np.diag(h, 1)
+        if np.abs(e - np.diag(h, -1)).max(initial=0.0) > 1e-12 * max(1.0, np.abs(h).max()):
             raise ValueError("matrix is not symmetric")
+    n = d.size
+    h_max = max(np.abs(d).max(), np.abs(e).max(initial=0.0))
 
-    if (n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(upper, upper[::-1])
-            and (lower is upper or np.array_equal(upper, lower))):
-        return _solve_mirror(d, upper, h_max)
-    values, vt = _solve_checked(d, upper, lower, h_max, n)
+    if n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
+        return _solve_mirror(d, e, h_max)
+    values, vt = _solve_checked(d, e, h_max, n)
     _fix_row_signs(vt)
     return EigenSystem(values=values, vectors=vt.T)
 

@@ -23,7 +23,7 @@ from .errors import NumericalError
 from .ga import GAConfig, evolve
 from .reconstruct import _spectrum_error, reconstruct
 from .spectra import PinchSpec, Spectrum, infer_pinch, pinched_spectrum, snap_to_pst
-from .sweep import deviation_sweep, sweep_csv
+from .sweep import deviation_sweep
 from .analogue import diagnostics_report
 
 CSV_BLOCK_ROWS = 4096
@@ -189,7 +189,10 @@ def cmd_sweep(args) -> int:
     points = deviation_sweep(range(args.n_min, args.n_max + 1), p_set,
                              alpha=args.alpha)
     out = _out_dir(args)
-    (out / "sweep.csv").write_text(sweep_csv(points), encoding="utf-8")
+    _write_rows(out / "sweep.csv", "N,p,std_J,max_rel_spread_J,std_eps,roundtrip_err",
+                "%d,%d,%.12g,%.12g,%.12g,%.12g\n",
+                [[getattr(pt, key) for pt in points] for key in
+                 ("n", "p", "std_j", "max_rel_spread_j", "std_eps", "roundtrip_err")])
     _write_manifest(out, "sweep", [], {
         "n_min": args.n_min, "n_max": args.n_max,
         "p_list": p_set, "alpha": args.alpha,

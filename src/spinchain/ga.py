@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .chain import ChainSpec, mirror_bands, tridiagonal
+from .chain import ChainSpec, mirror_spectra
 from .dynamics import fidelity_grid
 from .spectra import Spectrum
 
@@ -161,20 +161,15 @@ def _spectral_scores(lam: np.ndarray):
 def _evaluate_block(genomes: np.ndarray, cfg: GAConfig):
     """Fitness of every genome in a (pop, half) block.
 
-    A genome is the top half of a palindromic chain's diagonal, so the chain
-    splits into its even and odd half-size blocks (``chain.mirror_bands``);
-    each block stack is solved by one batched ``eigh``. The (lam, w) pairs
-    stay in block order for ``dynamics.fidelity_grid``, taken over chunks of
-    genomes to bound memory; the gap scores sort the eigenvalues.
+    A genome is the top half of a palindromic chain's diagonal, so each chain
+    is solved as its even and odd half-size mirror blocks
+    (``chain.mirror_spectra``). The (lam, w) pairs stay in block order for
+    ``dynamics.fidelity_grid``, taken over chunks of genomes to bound memory;
+    the gap scores sort the eigenvalues.
     """
     pop = genomes.shape[0]
     off = np.full((pop, cfg.n // 2), -abs(cfg.coupling))
-    (even_d, even_e), (odd_d, odd_e) = mirror_bands(genomes, off, cfg.n)
-    even_lam, u_even = np.linalg.eigh(tridiagonal(even_d, even_e))
-    odd_lam, u_odd = np.linalg.eigh(tridiagonal(odd_d, odd_e))
-    lam = np.concatenate([even_lam, odd_lam], axis=1)
-    # block vector u -> chain vector (u, +-u reversed) / sqrt(2), so w = +-u[0]^2 / 2
-    w = 0.5 * np.concatenate([u_even[:, 0] ** 2, -u_odd[:, 0] ** 2], axis=1)
+    lam, w = mirror_spectra(genomes, off, cfg.n)
     # the window is in t*J_max units; with |J| uniform, J_max = |coupling|
     dt = cfg.window / (cfg.samples - 1) / abs(cfg.coupling)
     f_max = np.empty(pop)

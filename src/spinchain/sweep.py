@@ -16,8 +16,6 @@ from .chain import ChainSpec
 from .reconstruct import _spectrum_error, reconstruct
 from .spectra import PinchSpec, pinched_spectrum
 
-SWEEP_CSV_HEADER = "N,p,std_J,max_rel_spread_J,std_eps,roundtrip_err"
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -28,11 +26,6 @@ class SweepPoint:
     std_eps: float
     roundtrip_err: float
     error: str | None = None
-
-    def csv_row(self) -> str:
-        return (f"{self.n},{self.p},{self.std_j:.12g},"
-                f"{self.max_rel_spread_j:.12g},{self.std_eps:.12g},"
-                f"{self.roundtrip_err:.12g}")
 
 
 def coupling_statistics(spec: ChainSpec) -> dict:
@@ -87,9 +80,3 @@ def deviation_sweep(n_range, p_set, alpha: float = 0.5) -> list[SweepPoint]:
                 ))
     return points
 
-
-def sweep_csv(points: list[SweepPoint]) -> str:
-    """Render sweep points as CSV (deterministic byte content)."""
-    lines = [SWEEP_CSV_HEADER]
-    lines.extend(pt.csv_row() for pt in points)
-    return "\n".join(lines) + "\n"

@@ -198,6 +198,15 @@ class TestPairing:
         assert len(report.pairs) == 2
         assert not report.zero_mode
 
+    @pytest.mark.parametrize("n", [2, 5, 40, 85])
+    def test_x_spectrum_equals_dense_eigvalsh(self, n):
+        # X's spectrum from its bands against the dense solver, bit for bit
+        chain = reconstruct(pinched_spectrum(PinchSpec(n=n, p=3, alpha=0.5), shift=-2.74))
+        es = diagonalize_chain(chain)
+        xop = position_operator(build_ladder(es, p=3, gamma=1.0))
+        report = pairing_check(xop, mirror_in_eigenbasis(es))
+        assert report.x_values == tuple(np.linalg.eigvalsh(xop.x).tolist())
+
     def test_pairs_are_negatives(self, pst5_es):
         xop = position_operator(build_ladder(pst5_es, p=3, gamma=1.0))
         report = pairing_check(xop, mirror_in_eigenbasis(pst5_es))
@@ -268,6 +277,12 @@ class TestDiagnosticsReport:
 def test_analogue_rejects_even_p(pst5_es):
     with pytest.raises(ValueError):
         build_ladder(pst5_es, p=2, gamma=1.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
+def test_analogue_rejects_bad_gamma(pst5_es, gamma):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        build_ladder(pst5_es, p=3, gamma=gamma)
 
 
 def test_uniform_chain_schrodinger_dispersion():

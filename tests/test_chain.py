@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from spinchain import (
     ChainSpec,
     EigenSystem,
     NumericalError,
+    PinchSpec,
     build_hamiltonian,
     check_mirror_symmetry,
     christandl_chain,
@@ -20,9 +22,11 @@ from spinchain import (
     eigendecompose,
     eigenstate_parity,
     mirror_operator,
+    pinched_spectrum,
+    reconstruct,
     trace,
 )
-from spinchain.chain import tridiagonal
+from spinchain.chain import band_values, mirror_spectra, mirror_values, tridiagonal
 
 from conftest import (
     CONTAINER_KINDS,
@@ -113,9 +117,9 @@ def solve_mirror_columns(d, e):
 
 
 @st.composite
-def mirror_chains(draw, max_n=200):
+def mirror_chains(draw, max_n=200, min_n=2):
     """Palindromic chains: couplings in +-[0.2, 5], on-site energies in [-5, 5]."""
-    n = draw(st.integers(2, max_n))
+    n = draw(st.integers(min_n, max_n))
     coupling = st.one_of(st.floats(0.2, 5.0), st.floats(-5.0, -0.2))
     half_j = draw(st.lists(coupling, min_size=n // 2, max_size=n // 2))
     half_e = draw(st.lists(st.floats(-5.0, 5.0),
@@ -384,11 +388,24 @@ class TestMirrorSplit:
         assert np.abs(h @ es.vectors - es.vectors * es.values).max() <= 1e-10 * np.abs(h).max()
 
     def test_dense_input_with_unequal_bands_takes_full_path(self, monkeypatch):
+        # the upper band is the one solved: one ulp off its mirror there
         h = build_hamiltonian(random_mirror_chain(np.random.default_rng(6), 6))
-        h[2, 1] = np.nextafter(h[2, 1], np.inf)
+        h[1, 2] = np.nextafter(h[1, 2], np.inf)
         sizes = recorded_solver_sizes(monkeypatch)
         eigendecompose(h)
         assert sizes == [6]
+
+    def test_dense_input_is_solved_on_its_upper_band(self, monkeypatch):
+        # a lower band one ulp off passes the 1e-12 symmetry check; the solve
+        # and its eigenpair checks see only the diagonal and the upper band
+        h = build_hamiltonian(random_mirror_chain(np.random.default_rng(6), 6))
+        reference = eigendecompose((np.diag(h), np.diag(h, 1)))
+        h[2, 1] = np.nextafter(h[2, 1], np.inf)
+        sizes = recorded_solver_sizes(monkeypatch)
+        es = eigendecompose(h)
+        assert sizes == [3, 3]
+        assert np.array_equal(es.values, reference.values)
+        assert np.array_equal(es.vectors, reference.vectors)
 
     @settings(max_examples=60, deadline=None)
     @given(mirror_chains())
@@ -425,6 +442,54 @@ class TestMirrorSplit:
             tracemalloc.stop()
         assert es.n == 2048
         assert peak <= 72 * 2**20
+
+
+def nearest_gaps(values):
+    """Distance of each ascending value to its nearest neighbour (inf if alone)."""
+    gaps = np.diff(values)
+    return np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+
+
+class TestMirrorSolves:
+    @settings(max_examples=60, deadline=None)
+    @given(mirror_chains())
+    def test_values_match_full_solve(self, chain):
+        d, e = hamiltonian_bands(chain)
+        reference = np.sort(scipy.linalg.eigvalsh_tridiagonal(d, e))
+        values = mirror_values(d, e)
+        assert np.abs(values - reference).max() <= 1e-12 * (reference[-1] - reference[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_spectra_match_diagonalize_chain(self, data):
+        n = data.draw(st.integers(2, 200))
+        chains = data.draw(st.lists(mirror_chains(max_n=n, min_n=n),
+                                    min_size=1, max_size=4))
+        d, e = (np.array(band) for band in zip(*map(hamiltonian_bands, chains)))
+        lam, w = mirror_spectra(d, e, n)
+        assert lam.shape == w.shape == (len(chains), n)
+        even = (n + 1) // 2
+        for row, chain in enumerate(chains):
+            es = diagonalize_chain(chain)
+            # block order: the even states ascending, then the odd states
+            order = np.argsort(-np.array(eigenstate_parity(es)), kind="stable")
+            spread = es.values[-1] - es.values[0]
+            assert np.abs(lam[row] - es.values[order]).max() <= 1e-12 * spread
+            # an eigenvector is good to ~eps * spread over its gap in its block
+            gaps = np.concatenate([nearest_gaps(lam[row, :even]),
+                                   nearest_gaps(lam[row, even:])])
+            tol = 1e-12 * np.maximum(1.0, spread / gaps)
+            assert np.all(np.abs(w[row] - (es.vectors[0] * es.vectors[-1])[order]) <= tol)
+
+    def test_dsterf_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(lapack, "dsterf", lambda d, e: (d.copy(), 1))
+        d, e = hamiltonian_bands(random_mirror_chain(np.random.default_rng(3), 9))
+        with pytest.raises(NumericalError, match=r"dsterf did not converge \(info 1, N=5\)"):
+            mirror_values(d, e)
+        with pytest.raises(NumericalError, match="dsterf did not converge"):
+            band_values(d, e)
+        with pytest.raises(NumericalError, match="dsterf did not converge"):
+            reconstruct(pinched_spectrum(PinchSpec(n=9, p=3, alpha=0.5)))
 
 
 def no_convergence(solve):

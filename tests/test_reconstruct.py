@@ -20,7 +20,7 @@ from spinchain import (
     roundtrip_error,
     spectral_symmetry_check,
 )
-from spinchain.chain import mirror_bands, tridiagonal
+from spinchain.chain import mirror_bands, mirror_values, tridiagonal
 from spinchain.reconstruct import _spectrum_error
 
 
@@ -237,8 +237,13 @@ class TestRoundTrip:
         # the positive convention flips the off-diagonal signs (and swaps the
         # blocks at even N); dsterf sees only their squares
         s = pinched_spectrum(PinchSpec(n=n, p=5, alpha=0.5), shift=-1.3)
-        positive = _spectrum_error(reconstruct(s, sign_convention="positive"), s)
-        assert positive == _spectrum_error(reconstruct(s), s) == roundtrip_error(s)
+        lam = np.asarray(s.values)
+        chain = reconstruct(s)
+        d, j = np.asarray(chain.onsite), np.asarray(chain.couplings)
+        negative, positive = (np.abs(mirror_values(d, sign * j) - lam).max()
+                              for sign in (-1.0, 1.0))
+        assert positive == negative == roundtrip_error(s)
+        assert _spectrum_error(reconstruct(s, sign_convention="positive"), s) == negative
 
 
 class TestPolynomialTable:

@@ -16,10 +16,25 @@ from spinchain import (
     Spectrum,
     transfer_fidelity,
 )
-from spinchain import sweep
-from spinchain.sweep import sweep_csv
+from spinchain import NumericalError, sweep
+from spinchain.cli import main
 
 from conftest import uniform_chain
+
+# sweep.csv of `spinchain sweep --n-min 4 --n-max 8 --p-list 1,3`
+SWEEP_CSV_4_8 = """\
+N,p,std_J,max_rel_spread_J,std_eps,roundtrip_err
+4,1,0.0631562303272,0.133974596216,8.33941986942e-18,5.55111512313e-17
+4,3,0.00246489829619,0.00784325835078,0.416666666667,8.881784197e-16
+5,1,0.112372435696,0.183503419072,2.54596572976e-16,1.11022302463e-15
+5,3,0.00182210490795,0.00397615888801,0.446218680818,5.71157704465e-16
+6,1,0.162160914229,0.2546440075,1.28872809602e-16,4.4408920985e-16
+6,3,0.00785871666801,0.0166678339644,0.440188766867,4.4408920985e-16
+7,1,0.212694457855,0.292893218813,4.73986248286e-16,8.881784197e-16
+7,3,0.0382040362917,0.0573060544376,0.426208765237,2.22044604925e-15
+8,1,0.263865877674,0.338562172234,8.52846004618e-16,2.22044604925e-15
+8,3,0.0879302818804,0.118128250933,0.415289069321,9.99200722163e-16
+"""
 
 
 class TestCouplingStatistics:
@@ -105,11 +120,22 @@ class TestDeviationSweep:
         assert scaled.max_rel_spread_j == pytest.approx(base.max_rel_spread_j,
                                                         rel=1e-9)
 
-    def test_csv_deterministic(self, points):
-        assert sweep_csv(points) == sweep_csv(points)
-        header, first = sweep_csv(points).splitlines()[:2]
-        assert header == "N,p,std_J,max_rel_spread_J,std_eps,roundtrip_err"
-        assert first.startswith("4,1,")
+    def test_csv_bytes_pinned(self, tmp_path, monkeypatch, capsys):
+        argv = ["sweep", "--n-min", "4", "--n-max", "8", "--p-list", "1,3"]
+        assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+        assert (tmp_path / "ok" / "sweep.csv").read_bytes() == SWEEP_CSV_4_8.encode()
+
+        def failing(s):
+            if s.n == 6 and s.p == 3:
+                raise NumericalError("no chain")
+            return reconstruct(s)
+        monkeypatch.setattr(sweep, "reconstruct", failing)
+        assert main(argv + ["--out", str(tmp_path / "nan")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "10 sweep points (1 failed)"
+        expected = SWEEP_CSV_4_8.replace(
+            "6,3,0.00785871666801,0.0166678339644,0.440188766867,4.4408920985e-16",
+            "6,3,nan,nan,nan,nan")
+        assert (tmp_path / "nan" / "sweep.csv").read_bytes() == expected.encode()
 
 
 class TestSweepShape:
