@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, EigenSystem, band_values
+from .spectra import _pinched_offsets
 
 UNIFORM_TOL = 1e-9
 PINCHED_FORM_TOL = 1e-6
@@ -50,10 +51,13 @@ def node_count(es: EigenSystem) -> list[int]:
 
     Components below 1e-12 in magnitude inherit the previous sign, so the
     exact central zeros of odd-parity states count as single crossings.
-    Known limit: the top states of long pinched chains alternate in sign all
-    along the chain and their end components fall below that cut-off, so those
-    nodes are lost (pinched p = 3, alpha = 1/2: exact at N = 85, wrong on
-    2 / 4 / 143 states at N = 89 / 100 / 512).
+    Known limit: nodes among components below that cut-off are lost. The top
+    states of long pinched chains alternate in sign all along the chain and
+    their end components fall below it (alpha = 1/2, p = 3: exact at N = 85,
+    wrong on 2 / 4 / 143 states at N = 89 / 100 / 512; p = 1: wrong from
+    N = 81). So do the tails of localised states in random uniform-coupling
+    chains (on-site U[0, 5], J = 1: wrong on 2 / 11 / 72 / 100 of 100 chains
+    at N = 25 / 30 / 40 / 60).
     """
     # one eigenstate per row (C-contiguous for eigendecompose's vectors);
     # dropping the components below 1e-12 lets them inherit the previous sign
@@ -125,7 +129,7 @@ def build_ladder(es: EigenSystem, p: int, gamma: float) -> LadderPair:
     if not 0.0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     n = es.n
-    target = gamma * np.append(np.arange(n - 1, dtype=float), n - 2 + 1.0 / p)
+    target = gamma * _pinched_offsets(n, p)
     deviation = np.abs(shifted_values(es) - target).max()
     if deviation > PINCHED_FORM_TOL * max(1.0, gamma):
         raise ValueError(

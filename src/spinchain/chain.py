@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .errors import NumericalError
 
@@ -157,6 +155,7 @@ def band_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the tridiagonal bands (d, e), values only."""
     if d.size == 1:
         return d
+    from scipy.linalg import lapack  # loaded on the first LAPACK call
     values, info = lapack.dsterf(d, e)
     if info:
         raise NumericalError(f"dsterf did not converge (info {info}, N={d.size})")
@@ -217,8 +216,9 @@ def _solve_checked(d: np.ndarray, e: np.ndarray, h_max: float,
         if d.size == 1:
             values, vectors = d.copy(), np.eye(1)
         else:
+            import scipy.linalg  # loaded on the first LAPACK call
             values, vectors = scipy.linalg.eigh_tridiagonal(d, e)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:  # scipy.linalg's is the same class
         raise NumericalError(f"eigendecompose: eigh_tridiagonal did not converge "
                              f"(N={n})") from exc
 
@@ -306,8 +306,8 @@ def eigendecompose(h) -> EigenSystem:
                              f"got shapes {d.shape} and {e.shape}")
     else:
         h = np.asarray(h, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {h.shape}")
+        if h.ndim != 2 or h.shape[0] != h.shape[1] or not h.size:
+            raise ValueError(f"expected a non-empty square matrix, got shape {h.shape}")
         if np.triu(h, 2).any() or np.tril(h, -2).any():
             raise ValueError("matrix is not tridiagonal")
         d, e = np.diag(h), np.diag(h, 1)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .chain import ChainSpec, diagonalize_chain, mirror_values
 from .errors import NumericalError
@@ -132,6 +131,7 @@ def reconstruct(s: Spectrum, sign_convention: str = "negative") -> ChainSpec:
     spread = _check_simple(lam)
     mu, nu = lam[0::2], lam[1::2]
 
+    from scipy.linalg import lapack  # loaded on the first LAPACK call
     k = mu.size
     arrow = np.zeros((k + 1, k + 1), order="F")
     arrow[1:, 0] = np.sqrt(_centre_weights(lam))

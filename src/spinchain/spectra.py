@@ -91,12 +91,8 @@ def pinched_spectrum(ps: PinchSpec, shift: float = 0.0) -> Spectrum:
     n, p, alpha = ps.n, ps.p, ps.alpha
     values = [alpha * ((1 - n) + 2 * k) + shift for k in range(n - 1)]
     values.append(values[-1] + 2.0 * alpha / p)
-    return Spectrum(
-        values=tuple(values),
-        spacing=2.0 * alpha,
-        p=p,
-        t_m=p * np.pi / (2.0 * alpha),
-    )
+    return Spectrum(values=tuple(values), spacing=2.0 * alpha, p=p,
+                    t_m=p * np.pi / (2.0 * alpha))
 
 
 @dataclass(frozen=True)
@@ -143,6 +139,11 @@ def check_pst_condition(s: Spectrum, tol: float = PST_TOL) -> PstCheck:
     )
 
 
+def _pinched_offsets(n: int, p: int) -> np.ndarray:
+    """Pinched levels over the base spacing: 0, 1, ..., n-2, then n-2+1/p."""
+    return np.append(np.arange(n - 1, dtype=float), n - 2 + 1.0 / p)
+
+
 def snap_to_pst(s: Spectrum, p: int) -> Spectrum:
     """Round a near-pinched spectrum onto the exact pinched family.
 
@@ -154,21 +155,14 @@ def snap_to_pst(s: Spectrum, p: int) -> Spectrum:
         raise ValueError(f"pinch p must be a positive odd integer, got {p}")
     if s.n < 3:
         raise ValueError("snapping needs at least 3 eigenvalues")
-    values = np.asarray(s.values)
-    n = s.n
-    # model: lam_k = lam0 + gamma*k for k < n-1, lam_{n-1} = lam0 + gamma*(n-2+1/p)
-    k = np.append(np.arange(n - 1, dtype=float), n - 2 + 1.0 / p)
-    design = np.column_stack([np.ones(n), k])
-    (lam0, gamma), *_ = np.linalg.lstsq(design, values, rcond=None)
+    k = _pinched_offsets(s.n, p)  # model: lam = lam0 + gamma * k
+    design = np.column_stack([np.ones(s.n), k])
+    (lam0, gamma), *_ = np.linalg.lstsq(design, np.asarray(s.values), rcond=None)
     if gamma <= 0:
         raise ValueError("degenerate fit: nonpositive level spacing")
     snapped = lam0 + gamma * k
-    return Spectrum(
-        values=tuple(snapped),
-        spacing=float(gamma),
-        p=p,
-        t_m=float(p * np.pi / gamma),
-    )
+    return Spectrum(values=tuple(snapped), spacing=float(gamma), p=p,
+                    t_m=float(p * np.pi / gamma))
 
 
 def infer_pinch(values) -> tuple[int, float]:

@@ -1,5 +1,6 @@
 """Chain model: Hamiltonian construction, eigensolver, mirror symmetry."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -278,6 +279,14 @@ class TestEigendecompose:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             eigendecompose(np.zeros((3, 2)))
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "expected a non-empty square matrix, got shape (0, 0)")):
+            eigendecompose(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match=re.escape(
+                "expected bands of lengths N and N-1, got shapes (0,) and (0,)")):
+            eigendecompose((np.zeros(0), np.zeros(0)))
 
     def test_rejects_asymmetric_tridiagonal(self):
         h = np.diag([1.0, 2.0, 3.0]) + np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.7], -1)
