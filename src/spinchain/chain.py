@@ -10,13 +10,18 @@ eigenpairs), ``mirror_values`` (values only, the inverse path's check) and
 ``mirror_spectra`` (batched, the GA's) solve through that split. The
 eigensolver stores eigenvectors as rows; a mirror chain's top half is signed
 once and mirrored into the bottom half, so its eigenvectors are exact mirror
-eigenstates.
+eigenstates. That N x N assembly is deferred: a palindromic chain's
+``EigenSystem`` keeps its two checked blocks and assembles ``vectors`` on the
+first read, while ``end_weights`` (V[0] * V[N-1], all that a fidelity trace
+reads) come from the blocks' first components. ``simulate`` never builds the
+N x N matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +31,7 @@ SIGN_CONVENTIONS = ("negative", "positive")
 
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
+RESIDUAL_TILE = 64  # eigenvector rows per tile of the banded residual check
 MIRROR_TOL = 1e-9
 
 
@@ -102,6 +108,11 @@ class EigenSystem:
 
     ``vectors[:, k]`` is the eigenvector of ``values[k]``; ``eigendecompose``
     returns it in a Fortran-ordered array, so each eigenvector is contiguous.
+    For a palindromic chain the array is assembled from the two mirror blocks
+    on the first read of ``vectors`` and the same object is returned after;
+    ``end_weights`` needs only the blocks, so a fidelity trace, which reads
+    nothing else, never builds the N x N matrix. The arrays are not copied:
+    treat them as read-only.
     """
 
     values: np.ndarray
@@ -110,6 +121,69 @@ class EigenSystem:
     @property
     def n(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def end_weights(self) -> np.ndarray:
+        """w_k = V[0, k] * V[N-1, k], the weights of the end-to-end amplitude."""
+        return self.vectors[0] * self.vectors[-1]
+
+
+class _MirrorSystem(EigenSystem):
+    """A palindromic chain's eigensystem, held as its two checked mirror blocks.
+
+    ``values`` are the blocks' eigenvalues, even block first, and
+    ``even``/``odd`` hold their eigenvectors as rows. ``vectors`` is
+    assembled from them on its first read, and the blocks are then dropped.
+    """
+
+    def __init__(self, values: np.ndarray, even: np.ndarray, odd: np.ndarray):
+        order = np.argsort(values, kind="stable")
+        object.__setattr__(self, "values", values[order])
+        object.__setattr__(self, "_blocks", (order, even, odd))
+
+    @cached_property
+    def end_weights(self) -> np.ndarray:
+        if "_blocks" not in self.__dict__:  # assembled, and the blocks dropped
+            return super().end_weights
+        # V[0, k] = +-x_k and V[N-1, k] = +-x_k * parity_k, one sign for both,
+        # x_k the block vector's first component over sqrt(2): the product
+        # x * (x * parity) is V[0] * V[-1] bit for bit
+        order, even, odd = self._blocks
+        x = np.concatenate([even[:, 0], odd[:, 0]])[order] * np.sqrt(0.5)
+        return x * (x * np.where(order < len(even), 1.0, -1.0))
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """The eigenvectors as one N x N array.
+
+        Each block vector fills the top half of its row (sorted by eigenvalue)
+        with whole-row copies, the sign rule runs once on that top half, which
+        holds every vector's largest component, and the bottom half is the top
+        half reversed, negated for odd rows.
+        """
+        order, even, odd = self.__dict__.pop("_blocks")
+        n = order.size
+        m = n // 2
+        row = np.empty(n, dtype=np.intp)
+        row[order] = np.arange(n)
+        even_rows, odd_rows = row[: len(even)], row[len(even):]
+
+        # row k holds its block vector u as (u[:m], +-u[m-1::-1]) / sqrt(2),
+        # with the even block's unscaled u[m] as the centre entry for odd N
+        vt = np.empty((n, n))
+        if n % 2:
+            vt[even_rows, m] = even[:, m]
+            vt[odd_rows, m] = 0.0
+        even *= np.sqrt(0.5)
+        odd *= np.sqrt(0.5)
+        vt[even_rows, :m] = even[:, :m]
+        vt[odd_rows, :m] = odd
+        del even, odd  # freed before the sign fix's buffers
+        # the top half holds each vector's largest component
+        _fix_row_signs(vt[:, : n - m])
+        parity = np.where(order < even_rows.size, 1.0, -1.0)[:, None]
+        np.multiply(vt[:, m - 1:: -1], parity, out=vt[:, n - m:])
+        return vt.T
 
 
 def _bands(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -203,6 +277,30 @@ def _fix_row_signs(rows: np.ndarray) -> None:
     np.negative(rows, out=rows, where=(lead < 0.0)[:, None])
 
 
+def _banded_residual(d: np.ndarray, e: np.ndarray, values: np.ndarray,
+                     vt: np.ndarray) -> float:
+    """max |(H - lambda) v| over the eigenpairs, H the bands (d, e) and v the
+    rows of ``vt``: (d - lambda) v plus the two shifted off-diagonal terms.
+
+    Runs over tiles of RESIDUAL_TILE rows through one reused buffer pair,
+    each entry computed as on the whole array, so the figure is the same;
+    a NaN entry makes it NaN.
+    """
+    k = values.size
+    rows = min(RESIDUAL_TILE, k)
+    r, shifted = np.empty((rows, k)), np.empty((rows, k - 1))
+    peaks = np.empty(-(-k // rows))
+    for tile, start in enumerate(range(0, k, rows)):
+        v = vt[start: start + rows]
+        rt, st = r[: len(v)], shifted[: len(v)]
+        np.subtract(d, values[start: start + rows, None], out=rt)
+        rt *= v
+        rt[:, :-1] += np.multiply(v[:, 1:], e, out=st)
+        rt[:, 1:] += np.multiply(v[:, :-1], e, out=st)
+        peaks[tile] = np.abs(rt, out=rt).max()
+    return peaks.max()
+
+
 def _solve_checked(d: np.ndarray, e: np.ndarray, h_max: float,
                    n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the symmetric tridiagonal bands (d, e), checked on the bands.
@@ -229,57 +327,11 @@ def _solve_checked(d: np.ndarray, e: np.ndarray, h_max: float,
     # "not <=": NaN eigenpairs fail the checks too
     if not ortho <= ORTHONORMALITY_TOL:
         raise NumericalError(f"eigendecompose: orthonormality error {ortho:.3e} (N={n})")
-    # banded (H - lambda) v, a row per eigenvector v: (d - lambda) v plus the
-    # two shifted off-diagonal terms
     vt = vectors.T
-    r = d - values[:, None]
-    r *= vt
-    shifted = np.multiply(vt[:, 1:], e)
-    r[:, :-1] += shifted
-    r[:, 1:] += np.multiply(vt[:, :-1], e, out=shifted)
-    resid = np.abs(r, out=r).max()
+    resid = _banded_residual(d, e, values, vt)
     if not resid <= RESIDUAL_TOL * max(h_max, 1e-300):
         raise NumericalError(f"eigendecompose: eigenpair residual {resid:.3e} (N={n})")
     return values, vt
-
-
-def _solve_mirror(d: np.ndarray, e: np.ndarray, h_max: float) -> EigenSystem:
-    """Eigensystem of a palindromic chain from its even and odd half-size blocks.
-
-    The blocks' bands come from ``mirror_bands``. The eigenvectors are
-    assembled as the rows of one N x N array: each block vector fills the top
-    half of its row (sorted by eigenvalue) with whole-row copies, the sign rule
-    runs once on that top half, which holds every vector's largest component,
-    and the bottom half is the top half reversed, negated for odd rows.
-    """
-    n = d.size
-    m = n // 2
-    (even_d, even_e), (odd_d, odd_e) = mirror_bands(d, e, n)
-    even_values, even = _solve_checked(even_d, even_e, h_max, n)
-    odd_values, odd = _solve_checked(odd_d, odd_e, h_max, n)
-
-    values = np.concatenate([even_values, odd_values])
-    order = np.argsort(values, kind="stable")
-    row = np.empty(n, dtype=np.intp)
-    row[order] = np.arange(n)
-    even_rows, odd_rows = row[: even_values.size], row[even_values.size:]
-
-    # row k holds its block vector u as (u[:m], +-u[m-1::-1]) / sqrt(2), with the
-    # even block's unscaled u[m] as the centre entry for odd N
-    vt = np.empty((n, n))
-    if n % 2:
-        vt[even_rows, m] = even[:, m]
-        vt[odd_rows, m] = 0.0
-    even *= np.sqrt(0.5)
-    odd *= np.sqrt(0.5)
-    vt[even_rows, :m] = even[:, :m]
-    vt[odd_rows, :m] = odd
-    del even, odd  # freed before the sign fix's buffers
-    # the top half holds each vector's largest component
-    _fix_row_signs(vt[:, : n - m])
-    parity = np.where(order < even_values.size, 1.0, -1.0)[:, None]
-    np.multiply(vt[:, m - 1:: -1], parity, out=vt[:, n - m:])
-    return EigenSystem(values=values[order], vectors=vt.T)
 
 
 def eigendecompose(h) -> EigenSystem:
@@ -292,7 +344,9 @@ def eigendecompose(h) -> EigenSystem:
 
     A palindromic matrix (bands equal to their reversals, exactly) is solved
     as its even and odd half-size blocks, each checked on its own bands with
-    the same tolerances; its eigenvectors are then exact mirror eigenstates.
+    the same tolerances; its eigenvectors are then exact mirror eigenstates,
+    assembled from the blocks on the first read of ``vectors``. Every check
+    runs before this returns.
 
     Returns ascending eigenvalues and orthonormal eigenvectors with a
     deterministic sign convention (first nonzero component positive). Raises
@@ -317,7 +371,10 @@ def eigendecompose(h) -> EigenSystem:
     h_max = max(np.abs(d).max(), np.abs(e).max(initial=0.0))
 
     if n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
-        return _solve_mirror(d, e, h_max)
+        (even_d, even_e), (odd_d, odd_e) = mirror_bands(d, e, n)
+        even_values, even = _solve_checked(even_d, even_e, h_max, n)
+        odd_values, odd = _solve_checked(odd_d, odd_e, h_max, n)
+        return _MirrorSystem(np.concatenate([even_values, odd_values]), even, odd)
     values, vt = _solve_checked(d, e, h_max, n)
     _fix_row_signs(vt)
     return EigenSystem(values=values, vectors=vt.T)

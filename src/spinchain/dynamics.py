@@ -4,7 +4,10 @@ Evolution is done in the eigenbasis: the amplitude on site j after time t is
 sum_k phi_k(j) exp(-i lambda_k t) phi_k(start), with hbar = 1. Fidelity
 traces are sampled on the dimensionless axis t*J_max so windows are
 comparable across chains. ``fidelity_grid`` is the one grid kernel, shared by
-``trace`` and the GA fitness (``ga._evaluate_block``).
+``trace`` and the GA fitness (``ga._evaluate_block``). The end-to-end
+amplitude needs only the spectrum and the end weights V[0, k] * V[N-1, k]:
+``trace`` and ``transition_amplitude`` read ``EigenSystem.end_weights`` and
+nothing else, so a trace never assembles the N x N eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ def transfer_fidelity(es: EigenSystem, t: float) -> float:
 
 def transition_amplitude(es: EigenSystem, t: float) -> complex:
     """End-to-end transition amplitude a_{1,N}(t); its phase is nu."""
-    w = es.vectors[0, :] * es.vectors[-1, :]
-    return complex(np.sum(w * np.exp(-1j * es.values * t)))
+    return complex(np.sum(es.end_weights * np.exp(-1j * es.values * t)))
 
 
 def _cos_sin_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -144,7 +146,7 @@ def trace(es: EigenSystem, window: float = 50.0, samples: int | None = None,
         raise ValueError(f"need at least 2 samples, got {samples}")
 
     x = np.linspace(0.0, window, samples)
-    w = es.vectors[0, :] * es.vectors[-1, :]
+    w = es.end_weights
     f = fidelity_grid(es.values[None], w[None], window / (samples - 1) / j_max,
                       samples)[0]
     # below the worst-case rounding of the n-term amplitude sum F is noise

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
-from .reconstruct import _spectrum_error, reconstruct
+from .reconstruct import _reconstruct
 from .spectra import PinchSpec, pinched_spectrum
 
 
@@ -63,14 +63,14 @@ def deviation_sweep(n_range, p_set, alpha: float = 0.5) -> list[SweepPoint]:
                 raise ValueError(f"pinch values must be positive odd, got {p}")
             try:
                 spectrum = pinched_spectrum(PinchSpec(n=n, p=p, alpha=alpha))
-                chain = reconstruct(spectrum)
+                chain, miss = _reconstruct(spectrum)
                 stats = coupling_statistics(chain)
                 points.append(SweepPoint(
                     n=n, p=p,
                     std_j=stats["std_dev"],
                     max_rel_spread_j=stats["max_rel_spread"],
                     std_eps=float(np.std(chain.onsite)),
-                    roundtrip_err=_spectrum_error(chain, spectrum),
+                    roundtrip_err=miss,
                 ))
             except (ValueError, ArithmeticError, RuntimeError) as exc:
                 points.append(SweepPoint(

@@ -27,7 +27,14 @@ from spinchain import (
     reconstruct,
     trace,
 )
-from spinchain.chain import band_values, mirror_spectra, mirror_values, tridiagonal
+from spinchain.chain import (
+    RESIDUAL_TILE,
+    _banded_residual,
+    band_values,
+    mirror_spectra,
+    mirror_values,
+    tridiagonal,
+)
 
 from conftest import (
     CONTAINER_KINDS,
@@ -441,15 +448,17 @@ class TestMirrorSplit:
             assert es.vectors.T.flags.c_contiguous
 
     def test_peak_memory(self):
-        # the full-size solve's Gram and residual buffers peaked at 96 MiB here
+        # the full-size solve's Gram and residual buffers peaked at 96 MiB here;
+        # the deferred assembly of the eigenvector matrix is traced too
         chain = christandl_chain(2048, 1.0)
         tracemalloc.start()
         try:
             es = diagonalize_chain(chain)
+            vectors = es.vectors
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert es.n == 2048
+        assert vectors.shape == (2048, 2048)
         assert peak <= 72 * 2**20
 
 
@@ -536,6 +545,56 @@ def residual_chain(n):
         return ChainSpec(onsite=tuple(rng.uniform(-2.0, 2.0, n)),
                          couplings=tuple(rng.uniform(0.2, 2.0, n - 1)))
     return random_mirror_chain(rng, n)
+
+
+def untiled_residual(d, e, values, vt):
+    """The whole-array banded residual, the tiled check's bitwise reference."""
+    r = d - values[:, None]
+    r *= vt
+    shifted = np.multiply(vt[:, 1:], e)
+    r[:, :-1] += shifted
+    r[:, 1:] += np.multiply(vt[:, :-1], e, out=shifted)
+    return np.abs(r, out=r).max()
+
+
+class TestTiledResidual:
+    @pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 130])
+    @pytest.mark.parametrize("shift", [0.0, 1e-3])
+    def test_matches_untiled_formula(self, k, shift):
+        rng = np.random.default_rng(k)
+        d, e = rng.uniform(-2.0, 2.0, k), rng.uniform(0.2, 2.0, k - 1)
+        if k == 1:
+            values, vectors = d.copy(), np.eye(1)
+        else:
+            values, vectors = scipy.linalg.eigh_tridiagonal(d, e)
+        values = values + shift * rng.standard_normal(k)
+        vt = vectors.T
+        figure = _banded_residual(d, e, values, vt)
+        assert figure == untiled_residual(d, e, values, vt)
+        assert (figure > 1e-6) == (shift > 0.0)
+
+    @pytest.mark.parametrize("shift", [1e-3, np.nan])
+    def test_last_partial_tile_is_checked(self, monkeypatch, shift):
+        # 130 rows: two full tiles and a partial one holding the last eigenpair
+        n = 130
+        assert n % RESIDUAL_TILE and n > 2 * RESIDUAL_TILE
+        rng = np.random.default_rng(5)
+        chain = ChainSpec(onsite=tuple(rng.uniform(-2.0, 2.0, n)),
+                          couplings=tuple(rng.uniform(0.2, 2.0, n - 1)))
+        solve = scipy.linalg.eigh_tridiagonal
+
+        def fake(d, e):  # moves only the last eigenvalue
+            values, vectors = solve(d, e)
+            values[-1] += shift
+            return values, vectors
+        d, e = hamiltonian_bands(chain)
+        values, vectors = fake(d, e)
+        figure = untiled_residual(d, e, values, vectors.T)
+        assert figure > 1e-4 or np.isnan(figure)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fake)
+        with pytest.raises(NumericalError) as info:
+            diagonalize_chain(chain)
+        assert str(info.value) == f"eigendecompose: eigenpair residual {figure:.3e} (N={n})"
 
 
 class TestEigendecomposeFailures:

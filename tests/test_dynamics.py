@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spinchain import (
     ChainSpec,
+    EigenSystem,
     Spectrum,
     average_fidelity,
     build_hamiltonian,
@@ -26,6 +27,28 @@ from spinchain import (
 from spinchain.dynamics import fidelity_grid
 
 from conftest import uniform_chain
+
+
+def assert_bitwise(a, b):
+    """Equal arrays down to the bits, the signs of zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def small_chains(draw):
+    """Chains of 2-60 sites, palindromic (the deferred mirror solve) or not."""
+    n = draw(st.integers(2, 60))
+    coupling = st.one_of(st.floats(0.2, 5.0), st.floats(-5.0, -0.2))
+    couplings = draw(st.lists(coupling, min_size=n - 1, max_size=n - 1))
+    onsite = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        onsite[n - n // 2:] = onsite[: n // 2][::-1]
+        couplings[n - 1 - (n - 1) // 2:] = couplings[: (n - 1) // 2][::-1]
+    convention = draw(st.sampled_from(["negative", "positive"]))
+    return ChainSpec(onsite=tuple(onsite), couplings=tuple(couplings),
+                     sign_convention=convention)
 
 
 class TestPropagate:
@@ -157,6 +180,40 @@ class TestTrace:
             tracemalloc.stop()
         assert len(tr.times) == 80_001
         assert peak < 32 * 2**20
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_chains())
+    def test_deferred_system_traces_as_eager(self, chain):
+        # a palindromic chain's trace reads the end weights off the mirror
+        # blocks, before any eigenvector matrix exists; the eager system built
+        # from the assembled matrix must give the same trace, bit for bit
+        es = diagonalize_chain(chain)
+        tr = trace(es, j_max=chain.j_max)
+        vectors = es.vectors
+        assert es.vectors is vectors
+        assert_bitwise(es.end_weights, vectors[0] * vectors[-1])
+        # read the other way round, the weights come off the assembled matrix
+        assembled = diagonalize_chain(chain)
+        assembled.vectors
+        assert_bitwise(assembled.end_weights, es.end_weights)
+        eager =trace(EigenSystem(es.values, vectors), j_max=chain.j_max)
+        for name in ("times", "transfer", "average"):
+            assert_bitwise(getattr(tr, name), getattr(eager, name))
+        assert tr.peaks == eager.peaks
+
+    def test_trace_memory_without_eigenvectors(self):
+        # the N x N eigenvector matrix alone is 32 MiB at N = 2048; a trace
+        # reads only the end weights, so it is never assembled
+        diagonalize_chain(christandl_chain(4, 1.0))  # LAPACK loaded untraced
+        chain = christandl_chain(2048, 1.0)
+        tracemalloc.start()
+        try:
+            tr = trace(diagonalize_chain(chain))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tr.times) == 10_001
+        assert peak <= 32 * 2**20
 
 
     def test_round_off_floored_to_zero(self):

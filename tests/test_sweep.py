@@ -104,8 +104,9 @@ class TestDeviationSweep:
             s = pinched_spectrum(PinchSpec(n=pt.n, p=pt.p, alpha=0.5))
             assert pt.roundtrip_err == roundtrip_error(s)
         calls = []
-        monkeypatch.setattr(sweep, "reconstruct",
-                            lambda s: calls.append(s) or reconstruct(s))
+        solve = sweep._reconstruct
+        monkeypatch.setattr(sweep, "_reconstruct",
+                            lambda s: calls.append(s) or solve(s))
         deviation_sweep(range(4, 8), (3,))
         assert len(calls) == 4
 
@@ -125,11 +126,13 @@ class TestDeviationSweep:
         assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
         assert (tmp_path / "ok" / "sweep.csv").read_bytes() == SWEEP_CSV_4_8.encode()
 
+        solve = sweep._reconstruct
+
         def failing(s):
             if s.n == 6 and s.p == 3:
                 raise NumericalError("no chain")
-            return reconstruct(s)
-        monkeypatch.setattr(sweep, "reconstruct", failing)
+            return solve(s)
+        monkeypatch.setattr(sweep, "_reconstruct", failing)
         assert main(argv + ["--out", str(tmp_path / "nan")]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "10 sweep points (1 failed)"
         expected = SWEEP_CSV_4_8.replace(
