@@ -21,7 +21,7 @@ from .chain import ChainSpec, diagonalize_chain
 from .dynamics import revival_peaks, trace
 from .errors import NumericalError
 from .ga import GAConfig, evolve
-from .reconstruct import _spectrum_error, reconstruct
+from .reconstruct import _reconstruct
 from .spectra import PinchSpec, Spectrum, infer_pinch, pinched_spectrum, snap_to_pst
 from .sweep import deviation_sweep
 from .analogue import diagnostics_report
@@ -114,8 +114,9 @@ def cmd_reconstruct(args) -> int:
         spectrum = Spectrum.from_dict(_load_json(args.spectrum))
         inputs = [args.spectrum]
 
-    chain = reconstruct(spectrum)  # the negative convention, as in roundtrip_error
-    err = _spectrum_error(chain, spectrum)
+    # the negative convention, as in roundtrip_error; its cross-check's miss
+    # is the roundtrip figure, so the rebuilt chain is solved once
+    chain, err = _reconstruct(spectrum)
     chain = dataclasses.replace(chain, sign_convention=args.convention)
 
     out = _out_dir(args)

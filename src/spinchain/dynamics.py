@@ -46,8 +46,8 @@ def transition_amplitude(es: EigenSystem, t: float) -> complex:
 
 
 def _cos_sin_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(-i lam t) as a (rows, len(t), n) table, straight from cos and sin."""
-    theta = t[None, :, None] * lam[:, None, :]
+    """exp(-i lam t) as a (len(t), L) table for a flat (L,) lam, from cos and sin."""
+    theta = t[:, None] * lam[None, :]
     table = np.empty(theta.shape, dtype=complex)
     np.cos(theta, out=table.real)
     np.sin(theta, out=table.imag)
@@ -56,18 +56,18 @@ def _cos_sin_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _phase_table(lam: np.ndarray, step: float, count: int) -> np.ndarray:
-    """exp(-i lam m step) for m = 0..count-1 as a (rows, count, n) table.
+    """exp(-i lam m step) for m = 0..count-1 as a (count, L) table, flat (L,) lam.
 
     m = u*q + v with q = ceil(sqrt(count)): each entry is one product of two
     exact cos/sin values, exp(-i lam u q step) * exp(-i lam v step), so no
     rounding accumulates along m and each eigenvalue costs 2*sqrt(count)
-    cos/sin calls instead of count.
+    cos/sin calls instead of count. Every pass runs along the long L axis.
     """
     q = math.isqrt(count - 1) + 1
     outer = _cos_sin_table(lam, np.arange(0, count, q) * step)
     inner = _cos_sin_table(lam, np.arange(q) * step)
-    table = outer[:, :, None, :] * inner[:, None, :, :]
-    return table.reshape(lam.shape[0], -1, lam.shape[1])[:, :count]
+    table = outer[:, None, :] * inner[None, :, :]
+    return table.reshape(-1, lam.size)[:count]
 
 
 def fidelity_grid(lam: np.ndarray, w: np.ndarray, dt: float, samples: int) -> np.ndarray:
@@ -77,17 +77,24 @@ def fidelity_grid(lam: np.ndarray, w: np.ndarray, dt: float, samples: int) -> np
     table w_k exp(-i lam_k a R dt) by an (n, R) table exp(-i lam_k r dt),
     padded to A*R and cut back. Each phase-table entry is one product of two
     exact cos/sin values (``_phase_table``), so no rounding accumulates along
-    the grid. Memory is O(rows * (sqrt(samples) * n + samples)).
+    the grid. The tables are built for ``lam.ravel()`` as (A, rows*n) and
+    (R, rows*n), so every elementwise pass runs along one rows*n axis; the
+    matmul reads them as strided (rows, A, n) and (rows, n, R) views, which
+    BLAS takes without a copy. Memory is O(rows * (sqrt(samples) * n + samples)).
     """
+    rows, n = lam.shape
     fine = math.isqrt(samples - 1) + 1
     coarse = -(-samples // fine)
-    head = _phase_table(lam, fine * dt, coarse)
-    head *= w[:, None, :]
-    amp = np.matmul(head, _phase_table(lam, dt, fine).transpose(0, 2, 1))
+    flat = lam.ravel()
+    head = _phase_table(flat, fine * dt, coarse)
+    head *= w.ravel()
+    inner = _phase_table(flat, dt, fine)
+    amp = np.matmul(head.reshape(coarse, rows, n).transpose(1, 0, 2),
+                    inner.reshape(fine, rows, n).transpose(1, 2, 0))
     # |amp|^2: square the float64 view in place, add the re/im pairs
     parts = amp.view(np.float64)
     np.square(parts, out=parts)
-    return (parts[..., 0::2] + parts[..., 1::2]).reshape(lam.shape[0], -1)[:, :samples]
+    return (parts[..., 0::2] + parts[..., 1::2]).reshape(rows, -1)[:, :samples]
 
 
 def average_fidelity(f_transfer: float) -> float:

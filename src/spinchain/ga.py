@@ -216,6 +216,13 @@ def evolve(cfg: GAConfig, initial: np.ndarray | None = None) -> GAReport:
     genes with probability mu(g) by a Gaussian step whose width anneals with
     the mutation rate. The best individual always survives unchanged.
     ``initial`` warm-starts the population instead of uniform random draws.
+
+    Each generation scores only its new genomes. A child equal to one of its
+    parents (no gene mutated, or every mutated gene clipped back to the
+    parent's value) is that parent's genome and inherits its scores, and so
+    does the elite; the rest go through ``_evaluate_block`` as one block.
+    Scores depend on a row's genome alone, never on its block neighbours, so
+    the search is the same as rescoring everything.
     """
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.bounds
@@ -257,7 +264,8 @@ def evolve(cfg: GAConfig, initial: np.ndarray | None = None) -> GAReport:
         ia = rng.integers(0, pop // 2, size=pop - 1)
         ib = rng.integers(0, pop // 2, size=pop - 1)
         take_a = rng.random((pop - 1, half)) < 0.5
-        children = np.where(take_a, parents[ia], parents[ib])
+        pa, pb = parents[ia], parents[ib]
+        children = np.where(take_a, pa, pb)
 
         mutate = rng.random((pop - 1, half)) < mu
         width = cfg.mutation_width_frac * (hi - lo)
@@ -267,7 +275,17 @@ def evolve(cfg: GAConfig, initial: np.ndarray | None = None) -> GAReport:
         np.clip(children, lo, hi, out=children)
 
         genomes = np.vstack([elite[None, :], children])
-        scores = _evaluate_block(genomes, cfg)
+        # a row equal to a parent is that parent's genome: copy its scores;
+        # the rest (src -1) are scored below
+        src = np.empty(pop, dtype=np.intp)
+        src[0] = order[0]
+        src[1:] = np.where((children == pa).all(axis=1), order[ia],
+                           np.where((children == pb).all(axis=1), order[ib], -1))
+        fresh = np.flatnonzero(src < 0)
+        scores = tuple(column[src] for column in scores)
+        if fresh.size:
+            for column, new in zip(scores, _evaluate_block(genomes[fresh], cfg)):
+                column[fresh] = new
         record(g)
 
     j = int(np.argmax(scores[0]))

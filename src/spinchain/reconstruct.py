@@ -131,7 +131,8 @@ def reconstruct(s: Spectrum, sign_convention: str = "negative") -> ChainSpec:
 
 def _reconstruct(s: Spectrum, sign_convention: str = "negative") -> tuple[ChainSpec, float]:
     """``reconstruct`` and its cross-check's miss, max |input - chain eigenvalue|
-    (``_spectrum_error`` of the result: the same block solves on the same bands)."""
+    from values-only solves of the result's two mirror blocks (the figure
+    ``roundtrip_error`` and ``spinchain reconstruct`` report)."""
     lam = np.asarray(s.values, dtype=float)
     n = lam.size
     spread = _check_simple(lam)
@@ -170,18 +171,6 @@ def _reconstruct(s: Spectrum, sign_convention: str = "negative") -> tuple[ChainS
         )
     return ChainSpec(onsite=onsite.tolist(), couplings=couplings.tolist(),
                      sign_convention=sign_convention), float(miss)
-
-
-def _spectrum_error(chain: ChainSpec, s: Spectrum) -> float:
-    """Max |input eigenvalue - eigenvalue of the chain reconstructed from it|.
-
-    Values only, from the same block solves as ``reconstruct``'s own
-    cross-check; ``chain`` is persymmetric (``reconstruct``'s output), and
-    its sign convention does not change the figure. No eigenvector is
-    computed.
-    """
-    values = mirror_values(np.asarray(chain.onsite), -np.abs(chain.couplings))
-    return float(np.abs(values - np.asarray(s.values, dtype=float)).max())
 
 
 def roundtrip_error(s: Spectrum) -> float:

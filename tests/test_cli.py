@@ -220,16 +220,17 @@ class TestReconstruct:
         spectrum = pinched_spectrum(PinchSpec(n=41, p=5, alpha=0.5), shift=-1.3)
         chain = reconstruct(spectrum, sign_convention=convention)
         err = roundtrip_error(spectrum)
+        module = importlib.import_module("spinchain.reconstruct")
+        solve = module._reconstruct
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return reconstruct(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        # the CLI's own name and the one roundtrip_error calls
-        monkeypatch.setattr(spinchain.cli, "reconstruct", counted)
-        monkeypatch.setattr(importlib.import_module("spinchain.reconstruct"),
-                            "reconstruct", counted)
+        # the CLI's own name and the one reconstruct and roundtrip_error call
+        monkeypatch.setattr(spinchain.cli, "_reconstruct", counted)
+        monkeypatch.setattr(module, "_reconstruct", counted)
         out = tmp_path / "rec"
         assert main(["reconstruct", "--pinched", "41", "5", "0.5", "--shift", "-1.3",
                      "--convention", convention, "--out", str(out)]) == 0

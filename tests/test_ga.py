@@ -20,6 +20,7 @@ from spinchain import (
     sigma_lambda,
     transfer_fidelity,
 )
+from spinchain import ga as ga_module
 from spinchain.ga import FITNESS_GRID_CHUNK, _evaluate_block
 
 QPST_SHIFTED = (1.0, 2.006, 3.001, 3.994, 4.326)
@@ -148,18 +149,21 @@ class TestFidelityGrid:
                 assert sigma[row] == pytest.approx(sigma_lambda(spectrum), rel=0, abs=1e-12)
 
     def test_rows_independent_of_block(self):
-        # fitness() scores a one-row block; it must agree with the same genome
-        # scored inside a full population, on both sides of a chunk boundary
+        # fitness() scores a one-row block and evolve() scores a generation's
+        # new rows as a short block; each row must equal, bit for bit, the
+        # same genome scored inside a full population, on both sides of a
+        # chunk boundary
         cfg = GAConfig(n=5, p=3)
         genomes = np.random.default_rng(3).uniform(0.0, 5.0, (1024, cfg.genome_length))
         block = _evaluate_block(genomes, cfg)
         for row in (0, FITNESS_GRID_CHUNK - 1, FITNESS_GRID_CHUNK, 1023):
             rep = fitness(GAIndividual(tuple(genomes[row]), cfg.coupling), cfg)
-            single = (rep.fitness, rep.f_max, rep.upsilon, rep.q, rep.sigma,
-                      rep.best_time)
-            for got, column in zip(single, block):
-                assert got == pytest.approx(column[row], rel=1e-12, abs=0)
-
+            assert (rep.fitness, rep.f_max, rep.upsilon, rep.q, rep.sigma,
+                    rep.best_time) == tuple(column[row] for column in block)
+        picked = np.random.default_rng(4).choice(1024, FITNESS_GRID_CHUNK + 1,
+                                                 replace=False)
+        for got, column in zip(_evaluate_block(genomes[picked], cfg), block):
+            assert np.array_equal(got, column[picked])
 
     @pytest.mark.parametrize("n, p", [(4, 3), (5, 3), (9, 9)])
     def test_block_matches_direct_grid(self, n, p):
@@ -200,12 +204,15 @@ class TestEvolve:
         assert report.best_report.fitness == report.history[0]["best_f"]
 
     def test_no_variation_keeps_history_flat(self):
-        # identical individuals, zero mutation: nothing can change
+        # identical individuals, zero mutation: nothing can change, and every
+        # child is a copy, so no row (and no empty block) is scored after
+        # generation 0
         cfg = small_config(generations=6, mu_i=0.0, mu_f=0.0)
         clones = np.tile([2.5, 1.0], (cfg.population, 1))
-        report = evolve(cfg, initial=clones)
-        best = [h["best_f"] for h in report.history]
-        assert max(best) == min(best)
+        report, scored = counted_evolve(cfg, initial=clones)
+        assert scored == [cfg.population]
+        assert all(row | {"generation": 0} == report.history[0]
+                   for row in report.history)
 
     def test_best_chain_is_uniform_and_mirror_symmetric(self):
         report = evolve(small_config())
@@ -218,6 +225,24 @@ class TestEvolve:
         report = evolve(small_config(seed_parabolic=True, generations=2))
         assert len(report.history) == 3
 
+    def test_scores_only_new_genomes(self):
+        # a reference loop that rescores every genome, with evolve's own draws,
+        # counts the children that differ from both their parents: only those
+        # may reach the fitness kernel after generation 0
+        cfg = small_config(generations=20)
+        report, scored = counted_evolve(cfg)
+        history, fresh = rescoring_evolve(cfg)
+        assert report.history == history
+        assert scored[0] == cfg.population
+        assert sum(scored[1:]) == fresh < cfg.population * cfg.generations
+
+    @pytest.mark.parametrize("n, p", [(4, 3), (5, 3), (9, 9)])
+    def test_best_report_is_fitness_of_best(self, n, p):
+        # the best row's scores, inherited over generations, equal a fresh score
+        cfg = GAConfig(n=n, p=p, population=64, seed=n)
+        report = evolve(cfg)
+        assert report.best_report == fitness(report.best, cfg)
+
     def test_regression_pin(self):
         # recorded with the cumprod phase-recursion kernel; any rewrite of the
         # fidelity grid must reproduce the same search
@@ -229,6 +254,60 @@ class TestEvolve:
             assert row["best_sigma"] == pytest.approx(sigma, rel=0, abs=1e-12)
         assert len(report.history) == len(PINNED_HISTORY)
         assert report.best.genome == PINNED_GENOME
+
+
+def counted_evolve(cfg, initial=None):
+    """evolve() and the row count of each fitness-kernel call it made."""
+    scored = []
+
+    def counted(genomes, config):
+        scored.append(len(genomes))
+        return _evaluate_block(genomes, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ga_module, "_evaluate_block", counted)
+        return evolve(cfg, initial=initial), scored
+
+
+def rescoring_evolve(cfg):
+    """evolve()'s generational loop, rescoring every genome every generation.
+
+    Returns the history and the number of children that differ from both
+    their parents, summed over generations 1..G.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = cfg.bounds
+    pop, half = cfg.population, cfg.genome_length
+    genomes = rng.uniform(lo, hi, size=(pop, half))
+    scores = _evaluate_block(genomes, cfg)
+    history, fresh = [], 0
+
+    def record(g):
+        j = int(np.argmax(scores[0]))
+        history.append({"generation": g, "best_f": float(scores[0][j]),
+                        "best_Fmax": float(scores[1][j]),
+                        "best_Q": float(scores[3][j]),
+                        "best_sigma": float(scores[4][j])})
+
+    record(0)
+    for g in range(1, cfg.generations + 1):
+        mu = mutation_rate(g, cfg)
+        order = np.argsort(-scores[0], kind="stable")
+        parents = genomes[order[: pop // 2]]
+        ia = rng.integers(0, pop // 2, size=pop - 1)
+        ib = rng.integers(0, pop // 2, size=pop - 1)
+        take_a = rng.random((pop - 1, half)) < 0.5
+        children = np.where(take_a, parents[ia], parents[ib])
+        mutate = rng.random((pop - 1, half)) < mu
+        width = cfg.mutation_width_frac * (hi - lo) * mu / cfg.mu_i
+        children = children + mutate * rng.normal(0.0, 1.0, size=(pop - 1, half)) * width
+        np.clip(children, lo, hi, out=children)
+        fresh += sum(not (np.array_equal(c, parents[a]) or np.array_equal(c, parents[b]))
+                     for c, a, b in zip(children, ia, ib))
+        genomes = np.vstack([genomes[order[0]][None, :], children])
+        scores = _evaluate_block(genomes, cfg)
+        record(g)
+    return history, fresh
 
 
 # evolve(small_config()): (best_f, best_Fmax, best_Q, best_sigma) per generation
