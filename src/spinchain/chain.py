@@ -15,6 +15,16 @@ eigenstates. That N x N assembly is deferred: a palindromic chain's
 first read, while ``end_weights`` (V[0] * V[N-1], all that a fidelity trace
 reads) come from the blocks' first components. ``simulate`` never builds the
 N x N matrix.
+
+Each solved block is checked for orthonormality, then for its banded
+residual r = Hv - lambda v. A block of more than RESIDUAL_TILE rows forms no
+dense Gram product: for computed pairs the identity
+(lambda_k - lambda_j) v_j.v_k = r_j.v_k - v_j.r_k bounds every off-diagonal
+Gram entry by the residual norms over the eigenvalue gap, so only pairs
+closer than 2 max|r| / ORTHONORMALITY_TOL are looked at, and only those the
+bound cannot clear are dotted, O(k^2) in all. A single-tile block, a
+spectrum too clustered for that, and any block that fails take the dense
+product V^T V, whose figure max |V^T V - I| the error message reports.
 """
 
 from __future__ import annotations
@@ -32,6 +42,9 @@ SIGN_CONVENTIONS = ("negative", "positive")
 ORTHONORMALITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 RESIDUAL_TILE = 64  # eigenvector rows per tile of the banded residual check
+# a block with more than k^2 / this near eigenvalue pairs is left to the
+# dense Gram product: dotting that many pairs would cost about as much
+PAIR_BUDGET_DIVISOR = 128
 MIRROR_TOL = 1e-9
 
 
@@ -278,13 +291,14 @@ def _fix_row_signs(rows: np.ndarray) -> None:
 
 
 def _banded_residual(d: np.ndarray, e: np.ndarray, values: np.ndarray,
-                     vt: np.ndarray) -> float:
+                     vt: np.ndarray, row_sq: np.ndarray | None = None) -> float:
     """max |(H - lambda) v| over the eigenpairs, H the bands (d, e) and v the
     rows of ``vt``: (d - lambda) v plus the two shifted off-diagonal terms.
 
     Runs over tiles of RESIDUAL_TILE rows through one reused buffer pair,
     each entry computed as on the whole array, so the figure is the same;
-    a NaN entry makes it NaN.
+    a NaN entry makes it NaN. ``row_sq``, if given, receives each row's
+    squared residual 2-norm.
     """
     k = values.size
     rows = min(RESIDUAL_TILE, k)
@@ -297,8 +311,71 @@ def _banded_residual(d: np.ndarray, e: np.ndarray, values: np.ndarray,
         rt *= v
         rt[:, :-1] += np.multiply(v[:, 1:], e, out=st)
         rt[:, 1:] += np.multiply(v[:, :-1], e, out=st)
+        if row_sq is not None:
+            np.einsum("ij,ij->i", rt, rt, out=row_sq[start: start + rows])
         peaks[tile] = np.abs(rt, out=rt).max()
     return peaks.max()
+
+
+def _gram_error(vectors: np.ndarray) -> float:
+    """max |V^T V - I|, the dense orthonormality figure of the columns of V."""
+    gram = vectors.T @ vectors
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    return np.abs(gram, out=gram).max()
+
+
+def _pair_dots(vt: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """v_j . v_k for the index pairs (j, k) of rows of ``vt``, gathered a few
+    at a time (64 KiB of rows per side), since large gathers run slower."""
+    dots = np.empty(j.size)
+    step = max(1, 8192 // vt.shape[1])
+    for start in range(0, j.size, step):
+        stop = start + step
+        dots[start:stop] = np.einsum("ij,ij->i", vt[j[start:stop]], vt[k[start:stop]])
+    return dots
+
+
+def _orthonormal_by_gaps(d: np.ndarray, e: np.ndarray, values: np.ndarray,
+                         vt: np.ndarray, res_sq: np.ndarray) -> bool:
+    """True if every entry of V^T V - I is shown to be within
+    ORTHONORMALITY_TOL without the dense product; False leaves it undecided.
+
+    The rows of ``vt`` are the vectors v and ``res_sq`` their squared
+    residual norms. The diagonal is one row-wise dot pass. Off it, for any
+    computed pairs, (lambda_k - lambda_j) v_j.v_k = r_j.v_k - v_j.r_k holds
+    exactly, so |v_j.v_k| <= (rho_j |v_k| + rho_k |v_j|) / |lambda_k - lambda_j|
+    with rho the residual norm plus a bound on its rounding. With ascending
+    values only the pairs closer than 2 max(rho) max|v| / ORTHONORMALITY_TOL
+    can miss that bound; those that do are dotted explicitly. O(k^2) unless
+    the spectrum is so clustered that the pairs would cost more than the
+    dense product, which is left to decide (False).
+    """
+    k = values.size
+    sq = np.einsum("ij,ij->i", vt, vt)
+    if not (np.abs(sq - 1.0).max() <= ORTHONORMALITY_TOL
+            and (values[1:] >= values[:-1]).all()):
+        return False
+    norms = np.sqrt(sq)
+    # |fl(r) - r| <= ~4 eps (|d - lambda| |v_i| + |e| |v_i-1| + |e| |v_i+1|)
+    # entrywise; twice that, and (1 + k eps) for the norm's own rounding
+    eps = np.finfo(float).eps
+    scale = np.abs(d).max() + 2.0 * np.abs(e).max() + np.abs(values)
+    rho = np.sqrt(res_sq) * (1.0 + k * eps) + 8.0 * eps * scale * norms
+    # widened a little, so rounding in values + window drops no pair near its edge
+    window = 2.0 * rho.max() * norms.max() / ORTHONORMALITY_TOL * (1.0 + 1e-6)
+    if not math.isfinite(window):
+        return False
+    first = np.arange(k)
+    counts = np.searchsorted(values, values + window, side="right") - first - 1
+    total = int(counts.sum())
+    if total > k * k // PAIR_BUDGET_DIVISOR:
+        return False
+    j = np.repeat(first, counts)
+    near = j + 1 + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    listed = rho[j] * norms[near] + rho[near] * norms[j] > (
+        ORTHONORMALITY_TOL * (values[near] - values[j]))
+    dots = _pair_dots(vt, j[listed], near[listed])
+    return bool(np.abs(dots).max(initial=0.0) <= ORTHONORMALITY_TOL)
 
 
 def _solve_checked(d: np.ndarray, e: np.ndarray, h_max: float,
@@ -309,6 +386,12 @@ def _solve_checked(d: np.ndarray, e: np.ndarray, h_max: float,
     the solver's Fortran-ordered columns, so C-ordered). ``h_max`` scales the
     residual bound and ``n`` is the size of the chain named in error messages
     (a mirror block is half of it).
+
+    Orthonormality is checked first, then the residual. A block of more than
+    RESIDUAL_TILE rows is shown orthonormal from its residuals and eigenvalue
+    gaps (``_orthonormal_by_gaps``), O(k^2); a single-tile block, a spectrum
+    too clustered for that and any block it cannot clear are decided by the
+    dense Gram product, whose figure max |V^T V - I| a failure reports.
     """
     try:
         if d.size == 1:
@@ -320,15 +403,15 @@ def _solve_checked(d: np.ndarray, e: np.ndarray, h_max: float,
         raise NumericalError(f"eigendecompose: eigh_tridiagonal did not converge "
                              f"(N={n})") from exc
 
-    gram = vectors.T @ vectors
-    gram.flat[:: d.size + 1] -= 1.0
-    ortho = np.abs(gram, out=gram).max()
-    del gram  # freed before the residual's buffers
-    # "not <=": NaN eigenpairs fail the checks too
-    if not ortho <= ORTHONORMALITY_TOL:
-        raise NumericalError(f"eigendecompose: orthonormality error {ortho:.3e} (N={n})")
     vt = vectors.T
-    resid = _banded_residual(d, e, values, vt)
+    large = d.size > RESIDUAL_TILE
+    res_sq = np.empty(d.size) if large else None
+    resid = _banded_residual(d, e, values, vt, res_sq)
+    if not (large and _orthonormal_by_gaps(d, e, values, vt, res_sq)):
+        ortho = _gram_error(vectors)
+        # "not <=": NaN eigenpairs fail the checks too
+        if not ortho <= ORTHONORMALITY_TOL:
+            raise NumericalError(f"eigendecompose: orthonormality error {ortho:.3e} (N={n})")
     if not resid <= RESIDUAL_TOL * max(h_max, 1e-300):
         raise NumericalError(f"eigendecompose: eigenpair residual {resid:.3e} (N={n})")
     return values, vt

@@ -46,12 +46,20 @@ def transition_amplitude(es: EigenSystem, t: float) -> complex:
 
 
 def _cos_sin_table(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(-i lam t) as a (len(t), L) table for a flat (L,) lam, from cos and sin."""
-    theta = t[:, None] * lam[None, :]
-    table = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=table.real)
-    np.sin(theta, out=table.imag)
-    np.negative(table.imag, out=table.imag)
+    """exp(-i lam t) as a (len(t), L) table for a flat (L,) lam, from cos and sin.
+
+    t[0] must be 0: that row is written as 1 and -0.0 * lam, the bits cos
+    and -sin give there for a finite lam (-sin(0.0 * lam) is -0.0 for
+    lam >= +0.0 and +0.0 below), and only the other rows call cos and sin.
+    """
+    table = np.empty((t.size, lam.size), dtype=complex)
+    table.real[0] = 1.0
+    np.multiply(-0.0, lam, out=table.imag[0])
+    theta = t[1:, None] * lam[None, :]
+    rest = table[1:]
+    np.cos(theta, out=rest.real)
+    np.sin(theta, out=rest.imag)
+    np.negative(rest.imag, out=rest.imag)
     return table
 
 

@@ -28,6 +28,7 @@ from spinchain import (
     trace,
 )
 from spinchain.chain import (
+    ORTHONORMALITY_TOL,
     RESIDUAL_TILE,
     _banded_residual,
     band_values,
@@ -547,13 +548,19 @@ def residual_chain(n):
     return random_mirror_chain(rng, n)
 
 
-def untiled_residual(d, e, values, vt):
-    """The whole-array banded residual, the tiled check's bitwise reference."""
+def untiled_rows(d, e, values, vt):
+    """(H - lambda) v for every row v of ``vt``, on the whole array."""
     r = d - values[:, None]
     r *= vt
     shifted = np.multiply(vt[:, 1:], e)
     r[:, :-1] += shifted
     r[:, 1:] += np.multiply(vt[:, :-1], e, out=shifted)
+    return r
+
+
+def untiled_residual(d, e, values, vt):
+    """The whole-array banded residual, the tiled check's bitwise reference."""
+    r = untiled_rows(d, e, values, vt)
     return np.abs(r, out=r).max()
 
 
@@ -572,6 +579,10 @@ class TestTiledResidual:
         figure = _banded_residual(d, e, values, vt)
         assert figure == untiled_residual(d, e, values, vt)
         assert (figure > 1e-6) == (shift > 0.0)
+        row_sq = np.empty(k)
+        assert _banded_residual(d, e, values, vt, row_sq) == figure
+        r = untiled_rows(d, e, values, vt)
+        assert np.array_equal(row_sq, np.einsum("ij,ij->i", r, r))
 
     @pytest.mark.parametrize("shift", [1e-3, np.nan])
     def test_last_partial_tile_is_checked(self, monkeypatch, shift):
@@ -631,6 +642,165 @@ class TestEigendecomposeFailures:
         assert "\n" not in msg
         assert msg.startswith("eigendecompose:")
         assert "N=5" in msg and figure in msg
+
+
+def dense_gram_figure(vectors):
+    """max |V^T V - I| from the whole product, the reference figure."""
+    return np.abs(vectors.T @ vectors - np.eye(vectors.shape[1])).max()
+
+
+def mixed_eigenvectors(delta, a, b):
+    """A fake eigh_tridiagonal adding delta * v_b to v_a, the indices taken
+    modulo the block size."""
+    def make(solve):
+        def fake(d, e):
+            values, vectors = solve(d, e)
+            i, j = a % len(d), b % len(d)
+            if i != j:
+                vectors[:, i] += delta * vectors[:, j]
+            return values, vectors
+        return fake
+    return make
+
+
+def returning(fake):
+    """Wrap a fake eigh_tridiagonal; ``returned`` lists the vectors it gave."""
+    def wrapper(d, e):
+        values, vectors = fake(d, e)
+        wrapper.returned.append(vectors)
+        return values, vectors
+    wrapper.returned = []
+    return wrapper
+
+
+def counted_pairs(monkeypatch):
+    """Record the number of pairs each explicit pair-dot pass computes."""
+    counts = []
+    pair_dots = spinchain.chain._pair_dots
+
+    def counting(vt, j, k):
+        counts.append(j.size)
+        return pair_dots(vt, j, k)
+    monkeypatch.setattr(spinchain.chain, "_pair_dots", counting)
+    return counts
+
+
+def dense_products(monkeypatch):
+    """Record the size of each dense Gram product formed."""
+    sizes = []
+    gram_error = spinchain.chain._gram_error
+
+    def recording(vectors):
+        sizes.append(vectors.shape[1])
+        return gram_error(vectors)
+    monkeypatch.setattr(spinchain.chain, "_gram_error", recording)
+    return sizes
+
+
+@st.composite
+def gap_check_chains(draw):
+    """Christandl, random and uniform-coupling U[0, 5] chains, N 65-400,
+    general or palindromic."""
+    n = draw(st.integers(65, 400))
+    kind = draw(st.sampled_from(["christandl", "random", "uniform"]))
+    if kind == "christandl":
+        return christandl_chain(n, draw(st.floats(0.1, 3.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        onsite, couplings = rng.uniform(-2.0, 2.0, n), rng.uniform(0.2, 2.0, n - 1)
+    else:
+        onsite, couplings = rng.uniform(0.0, 5.0, n), np.ones(n - 1)
+    if draw(st.booleans()):
+        onsite = np.concatenate([onsite[: (n + 1) // 2], onsite[: n // 2][::-1]])
+        couplings = np.concatenate([couplings[: n // 2], couplings[: (n - 1) // 2][::-1]])
+    return ChainSpec(onsite=tuple(onsite), couplings=tuple(couplings))
+
+
+class TestGapOrthonormalityCheck:
+    """Blocks of more than RESIDUAL_TILE rows are cleared from residuals and
+    eigenvalue gaps; the decision must be the dense Gram product's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain=gap_check_chains(),
+           delta=st.sampled_from([0.0, 1e-12, 3e-11, 9.5e-11, 1.05e-10, 3e-10, 1e-8]),
+           a=st.integers(0, 400), step=st.one_of(st.integers(1, 2), st.integers(3, 400)))
+    def test_decision_matches_dense_product(self, chain, delta, a, step):
+        # v_a mixed with a neighbour (step 1 or 2) or a distant vector
+        fake = returning(mixed_eigenvectors(delta, a, a + step)(scipy.linalg.eigh_tridiagonal))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scipy.linalg, "eigh_tridiagonal", fake)
+            try:
+                diagonalize_chain(chain)
+                message = ""
+            except NumericalError as exc:
+                message = str(exc)
+        figures = [dense_gram_figure(v) for v in fake.returned]
+        failing = [f for f in figures if not f <= ORTHONORMALITY_TOL]
+        if failing:
+            assert message == (f"eigendecompose: orthonormality error "
+                               f"{failing[0]:.3e} (N={chain.n})")
+        else:
+            assert "orthonormality" not in message
+
+    @pytest.mark.parametrize("n", [300, 511, 512])
+    @pytest.mark.parametrize("make", [scaled_eigenvectors, nan_vectors])
+    def test_broken_vectors_report_the_dense_figure(self, monkeypatch, n, make):
+        fake = returning(make(scipy.linalg.eigh_tridiagonal))
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fake)
+        with pytest.raises(NumericalError) as info:
+            diagonalize_chain(residual_chain(n))
+        figure = dense_gram_figure(fake.returned[0])
+        assert str(info.value) == f"eigendecompose: orthonormality error {figure:.3e} (N={n})"
+
+    @pytest.mark.parametrize("n", [300, 511, 512])
+    @pytest.mark.parametrize("a, b", [(0, -1), (130, 131)])
+    def test_mixed_pair_fails_at_3e_10(self, monkeypatch, n, a, b):
+        # (0, -1): the block's two ends, a full spectral width apart;
+        # (130, 131): neighbours, whose pair the gap bound cannot clear
+        fake = returning(mixed_eigenvectors(3e-10, a, b)(scipy.linalg.eigh_tridiagonal))
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fake)
+        with pytest.raises(NumericalError) as info:
+            diagonalize_chain(residual_chain(n))
+        figure = dense_gram_figure(fake.returned[0])
+        assert 2.9e-10 < figure < 3.1e-10
+        assert str(info.value) == f"eigendecompose: orthonormality error {figure:.3e} (N={n})"
+
+    @pytest.mark.parametrize("n", [300, 511, 512])
+    @pytest.mark.parametrize("a, b", [(0, -1), (130, 131)])
+    def test_mixed_pair_passes_at_3e_11(self, monkeypatch, n, a, b):
+        fake = returning(mixed_eigenvectors(3e-11, a, b)(scipy.linalg.eigh_tridiagonal))
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fake)
+        assert diagonalize_chain(residual_chain(n)).n == n  # both checks pass
+        assert all(dense_gram_figure(v) <= ORTHONORMALITY_TOL for v in fake.returned)
+
+    @pytest.mark.parametrize("n", [300, 511, 512])
+    def test_neighbour_pair_is_dotted_explicitly(self, monkeypatch, n):
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                            mixed_eigenvectors(3e-11, 130, 131)(scipy.linalg.eigh_tridiagonal))
+        pairs = counted_pairs(monkeypatch)
+        dense = dense_products(monkeypatch)
+        diagonalize_chain(residual_chain(n))
+        assert dense == [] and min(pairs) >= 1
+
+    @pytest.mark.parametrize("make", [
+        lambda n: christandl_chain(n, 0.7),
+        lambda n: reconstruct(pinched_spectrum(PinchSpec(n=n, p=3, alpha=0.5))),
+    ])
+    def test_large_engineered_chains_form_no_dense_product(self, monkeypatch, make):
+        # at N = 2048 each 1024-row block is cleared by its gaps alone: no
+        # dense O(k^3) product and no explicit pair
+        chain = make(2048)
+        pairs = counted_pairs(monkeypatch)
+        dense = dense_products(monkeypatch)
+        es = diagonalize_chain(chain)
+        assert es.n == 2048
+        assert dense == [] and pairs == [0, 0]
+
+    @pytest.mark.parametrize("n, sizes", [(128, [64, 64]), (129, [64]), (130, [])])
+    def test_single_tile_blocks_take_the_dense_product(self, monkeypatch, n, sizes):
+        dense = dense_products(monkeypatch)
+        diagonalize_chain(random_mirror_chain(np.random.default_rng(n), n))
+        assert dense == sizes
 
 
 class TestMirror:

@@ -1,5 +1,6 @@
 """Dynamics: propagation, fidelities, traces, revival bookkeeping."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from spinchain import (
     transition_amplitude,
 )
 
-from spinchain.dynamics import fidelity_grid
+from spinchain.dynamics import _cos_sin_table, _phase_table, fidelity_grid
 
 from conftest import uniform_chain
 
@@ -244,6 +245,39 @@ class TestFidelityGridKernel:
                 np.abs(np.exp(-1j * np.outer(t, lam[row])) @ w[row]) ** 2
                 for t in blocks])
             assert np.abs(f[row] - direct).max() <= 1e-12
+
+
+def cos_sin_reference(lam, t):
+    """exp(-i lam t) with cos and sin on every row, t = 0 included."""
+    theta = t[:, None] * lam[None, :]
+    table = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=table.real)
+    np.sin(theta, out=table.imag)
+    np.negative(table.imag, out=table.imag)
+    return table
+
+
+class TestPhaseTables:
+    LAM = np.array([-2.75, -1e-300, -0.0, 0.0, 5e-324, 0.5, 3.25])
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 45])
+    def test_t0_row_matches_cos_sin_bitwise(self, count):
+        # the t = 0 row is written directly; its signed zeros must be the
+        # ones -sin(0.0 * lam) gives: -0.0 for lam >= +0.0, +0.0 below
+        t = np.arange(count) * 0.0173
+        table = _cos_sin_table(self.LAM, t)
+        assert_bitwise(table, cos_sin_reference(self.LAM, t))
+        assert np.array_equal(np.signbit(table[0].imag), ~np.signbit(self.LAM))
+        assert np.all(table[0].real == 1.0)
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 17, 2001])
+    def test_phase_table_matches_reference_products(self, count):
+        step = 0.2
+        q = math.isqrt(count - 1) + 1
+        outer = cos_sin_reference(self.LAM, np.arange(0, count, q) * step)
+        inner = cos_sin_reference(self.LAM, np.arange(q) * step)
+        expected = (outer[:, None, :] * inner[None, :, :]).reshape(-1, self.LAM.size)
+        assert_bitwise(_phase_table(self.LAM, step, count), expected[:count])
 
 
 class TestRevivals:
