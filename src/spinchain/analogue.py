@@ -57,7 +57,9 @@ def node_count(es: EigenSystem) -> list[int]:
     wrong on 2 / 4 / 143 states at N = 89 / 100 / 512; p = 1: wrong from
     N = 81). So do the tails of localised states in random uniform-coupling
     chains (on-site U[0, 5], J = 1: wrong on 2 / 11 / 72 / 100 of 100 chains
-    at N = 25 / 30 / 40 / 60).
+    at N = 25 / 30 / 40 / 60), and eigenvalue pairs closer than the solver
+    can order. ``oscillation_nodes`` gives the exact counts; this function is
+    their eigenvector-based reference.
     """
     # one eigenstate per row (C-contiguous for eigendecompose's vectors);
     # dropping the components below 1e-12 lets them inherit the previous sign
@@ -67,6 +69,19 @@ def node_count(es: EigenSystem) -> list[int]:
     rows = np.repeat(np.arange(es.n), np.count_nonzero(nonzero, axis=1))
     flips = (negative[1:] != negative[:-1]) & (rows[1:] == rows[:-1])
     return np.bincount(rows[1:][flips], minlength=es.n).tolist()
+
+
+def oscillation_nodes(n: int, sign_convention: str) -> list[int]:
+    """Node counts of a chain's eigenstates, lowest energy first, from N alone.
+
+    Every chain is an irreducible Jacobi matrix whose off-diagonals share one
+    sign, so by the oscillation theorem (Gantmacher & Krein) the k-th lowest
+    eigenstate has exactly k sign changes in the negative convention and
+    N - 1 - k in the positive one. ``node_count`` reads the same numbers off
+    the eigenvectors, where they resolve them.
+    """
+    nodes = list(range(n))
+    return nodes if sign_convention == "negative" else nodes[::-1]
 
 
 @dataclass(frozen=True)
@@ -212,9 +227,12 @@ def diagnostics_report(spec: ChainSpec, es: EigenSystem, p: int,
                        gamma: float) -> dict:
     """Bundle of analogue diagnostics in a JSON-friendly shape.
 
-    Built from the ladder's band with no N x N array, and bit for bit equal to
-    the dense composition: its products add only exact zeros, and X's
-    spectrum comes from ``chain.band_values`` of the same bands.
+    Reads only the spectrum and the sign convention, never an eigenvector:
+    ``nodes`` come from the oscillation theorem (``oscillation_nodes``), and
+    the rest from the ladder's band with no N x N array. That band part is
+    bit for bit equal to the dense composition: its products add only exact
+    zeros, and X's spectrum comes from ``chain.band_values`` of the same
+    bands.
     """
     ladder = build_ladder(es, p, gamma)
     number = np.insert(np.square(ladder.sub), 0, 0.0)  # a_dag a = diag(0, sub^2)
@@ -223,7 +241,7 @@ def diagnostics_report(spec: ChainSpec, es: EigenSystem, p: int,
     x_values = band_values(np.zeros(ladder.n), 0.5 * ladder.sub)
     pairs, zero_mode = _pair_off(x_values)
     return {
-        "nodes": node_count(es),
+        "nodes": oscillation_nodes(es.n, spec.sign_convention),
         "ladder_residual": float(np.abs(shifted_values(es) - number).max()),
         "commutator_residual": float(np.abs(commutator).max()),
         "x_pairs": [list(pair) for pair in pairs],

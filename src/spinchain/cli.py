@@ -44,18 +44,20 @@ def _write_json(path: Path, obj) -> None:
                     encoding="utf-8")
 
 
-def _write_rows(path: Path, header: str, fmt: str, columns) -> None:
-    """Write ``header`` and one ``fmt`` line per row of the stacked columns.
+def _write_rows(path: Path, header: str, columns) -> None:
+    """Write ``header`` and the stacked columns as ``%.12g`` CSV rows.
 
-    Rows are formatted a block of ``CSV_BLOCK_ROWS`` at a time with one
-    ``%`` call, so only one block's values and text are held at once.
+    Integer columns below 1e12 print as ``%d`` would. Rows are formatted a
+    block of ``CSV_BLOCK_ROWS`` at a time, so only one block's values and
+    text are held at once.
     """
+    from ._csvtext import format_block  # its tables are built on the first write
+
     rows = np.column_stack(columns)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[start:start + CSV_BLOCK_ROWS]
-            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(format_block(rows[start:start + CSV_BLOCK_ROWS]))
 
 
 def _write_manifest(out_dir: Path, subcommand: str, inputs: list[str],
@@ -86,8 +88,7 @@ def cmd_simulate(args) -> int:
     header = "t_Jmax,F,Fav" if not args.raw_time else "t,F,Fav"
 
     out = _out_dir(args)
-    _write_rows(out / "trace.csv", header, "%.12g,%.12g,%.12g\n",
-                (times, tr.transfer, tr.average))
+    _write_rows(out / "trace.csv", header, (times, tr.transfer, tr.average))
     _write_json(out / "peaks.json", {
         "peaks": [{"t": t * peak_scale, "F": f} for t, f in tr.peaks],
         "revivals": [{"t": t * peak_scale, "F": f} for t, f in revival_peaks(tr)],
@@ -157,7 +158,7 @@ def cmd_optimize(args) -> int:
     out = _out_dir(args)
     _write_json(out / "best_chain.json", report.best_chain().to_dict())
     header = "generation,best_f,best_Fmax,best_Q,best_sigma"
-    _write_rows(out / "history.csv", header, "%d,%.12g,%.12g,%.12g,%.12g\n",
+    _write_rows(out / "history.csv", header,
                 [[h[key] for h in report.history] for key in header.split(",")])
     _write_manifest(out, "optimize", [args.config], cfg.to_dict(), seed=cfg.seed)
     br = report.best_report
@@ -191,7 +192,6 @@ def cmd_sweep(args) -> int:
                              alpha=args.alpha)
     out = _out_dir(args)
     _write_rows(out / "sweep.csv", "N,p,std_J,max_rel_spread_J,std_eps,roundtrip_err",
-                "%d,%d,%.12g,%.12g,%.12g,%.12g\n",
                 [[getattr(pt, key) for pt in points] for key in
                  ("n", "p", "std_j", "max_rel_spread_j", "std_eps", "roundtrip_err")])
     _write_manifest(out, "sweep", [], {

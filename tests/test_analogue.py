@@ -21,6 +21,7 @@ from spinchain.analogue import (
     diagnostics_report,
     mirror_in_eigenbasis,
     node_count,
+    oscillation_nodes,
     pairing_check,
     position_operator,
     schrodinger_residual,
@@ -115,6 +116,32 @@ class TestNodeCount:
         counts = node_count(es)
         assert counts == node_count_loop(es)
         assert all(type(c) is int for c in counts)
+
+
+class TestOscillationNodes:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), mirror=st.booleans(),
+           convention=st.sampled_from(["negative", "positive"]))
+    def test_equals_node_count(self, n, seed, mirror, convention):
+        # compared on every state node_count resolves: no nonzero component
+        # under its 1e-12 cut-off, and a gap to both neighbours above 1e-8 of
+        # the spread, so the solver orders and separates the pair
+        rng = np.random.default_rng(seed)
+        if mirror:
+            chain = random_mirror_chain(rng, n, sign_convention=convention)
+        else:
+            chain = ChainSpec(onsite=tuple(rng.uniform(-2.0, 2.0, n)),
+                              couplings=tuple(rng.uniform(0.2, 2.0, n - 1)),
+                              sign_convention=convention)
+        es = diagonalize_chain(chain)
+        v = np.abs(es.vectors)
+        gap = np.diff(es.values)
+        gap = np.minimum(np.append(np.inf, gap), np.append(gap, np.inf))
+        resolved = (((v > 1e-12) | (v == 0.0)).all(axis=0)
+                    & (gap > 1e-8 * np.ptp(es.values)))
+        theorem = np.array(oscillation_nodes(n, convention))
+        counted = np.array(node_count(es))
+        assert np.array_equal(theorem[resolved], counted[resolved])
 
 
 class TestLadder:
@@ -236,7 +263,8 @@ class TestDiagnosticsReport:
         h_shifted = np.diag(shifted_values(es))
         pairing = pairing_check(position_operator(ladder), mirror_in_eigenbasis(es))
         dense = {
-            "nodes": node_count(es),
+            # the oscillation theorem; node_count loses states from N ~ 89
+            "nodes": list(range(n)),
             "ladder_residual": float(np.abs(h_shifted - ladder.number_operator()).max()),
             "commutator_residual": float(np.abs(
                 ladder.commutator() - ladder.expected_commutator()).max()),
@@ -247,7 +275,7 @@ class TestDiagnosticsReport:
 
     def test_builds_no_dense_operator(self):
         # one 1024 x 1024 float64 operator is 8 MiB; the dense composition
-        # peaked at 72 MiB here, node_count's masks and indices need ~13-21
+        # peaked at 72 MiB here
         chain = christandl_chain(1024, 1.0)
         es = diagonalize_chain(chain)
         tracemalloc.start()
@@ -259,6 +287,18 @@ class TestDiagnosticsReport:
         assert report["ladder_residual"] <= 1e-9
         assert len(report["x_pairs"]) == 512 and report["zero_mode"] is False
         assert peak <= 32 * 2**20
+        assert "vectors" not in vars(es)        # the N x N matrix is never assembled
+
+    @pytest.mark.parametrize("n", [89, 100])
+    def test_nodes_past_eigenvector_cutoff(self, n):
+        # node_count misses 2 and 4 states here: their tails fall below 1e-12
+        chain = reconstruct(pinched_spectrum(PinchSpec(n=n, p=3, alpha=0.5)))
+        report = diagnostics_report(chain, diagonalize_chain(chain), p=3, gamma=1.0)
+        assert report["nodes"] == list(range(n))
+        positive = ChainSpec(onsite=chain.onsite, couplings=chain.couplings,
+                             sign_convention="positive")
+        report = diagnostics_report(positive, diagonalize_chain(positive), p=3, gamma=1.0)
+        assert report["nodes"] == list(range(n))[::-1]
 
     @pytest.mark.parametrize("n", [4, 9, 40, 85])
     @pytest.mark.parametrize("p", [3, 7])

@@ -12,11 +12,13 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spinchain._csvtext
 import spinchain.cli
 from spinchain import (
     ChainSpec,
     GAConfig,
     PinchSpec,
+    christandl_chain,
     diagonalize_chain,
     evolve,
     pinched_spectrum,
@@ -52,6 +54,20 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan,
                   1e-5, -1e16, 0.1, 123456789.123456789]
 csv_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS),
                        st.floats(allow_nan=True, allow_infinity=True))
+# decimal ties at the 12th digit, and the carry into a 13th; the last four
+# are the doubles nearest 13-digit ties whose scaled mantissa an inexact
+# power of ten puts on the wrong side of the tie
+TIES = [123456789012.5, 123456789013.5, -123456789012.5, 999999999999.5,
+        999999999999.4, -999999999999.5, 1.000000000005, 0.00012345678901250,
+        9.267822324345e-14, 9.589483199205e-12, 5.284350194275e+20,
+        -1.328373403285e+29]
+# 10**k and both neighbours, k = -300..300: every switch between the fixed
+# and exponent forms (1e-4 / 1e-5, 1e11 / 1e12) and 3-digit exponents
+_POWERS = np.array([float(f"1e{k}") for k in range(-300, 301)])
+POWERS_OF_TEN = np.column_stack([np.nextafter(_POWERS, 0.0), _POWERS,
+                                 np.nextafter(_POWERS, np.inf)]).ravel().tolist()
+# non-finite values among ordinary ones, so full blocks mix both paths
+MIXED = [np.nan, 0.5, np.inf, 1.25e-7, -np.inf, 3.0, -np.nan, 0.1]
 
 
 class TestWriteRows:
@@ -64,14 +80,54 @@ class TestWriteRows:
     @example(values=SPECIAL_FLOATS, n_rows=4096)
     @example(values=SPECIAL_FLOATS, n_rows=4097)
     @example(values=SPECIAL_FLOATS, n_rows=8193)
+    @example(values=TIES, n_rows=8)
+    @example(values=POWERS_OF_TEN, n_rows=len(POWERS_OF_TEN) // 3)
+    @example(values=[0.0, -0.0], n_rows=CSV_BLOCK_ROWS)
+    @example(values=MIXED, n_rows=2 * CSV_BLOCK_ROWS)
     def test_matches_fstring_rows(self, values, n_rows):
         rows = np.resize(np.array(values, dtype=float), (n_rows, 3))
         expected = "h,e,ad\n" + "".join(f"{a:.12g},{b:.12g},{c:.12g}\n"
                                           for a, b, c in rows.tolist())
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rows.csv"
-            _write_rows(path, "h,e,ad", "%.12g,%.12g,%.12g\n", tuple(rows.T))
+            _write_rows(path, "h,e,ad", tuple(rows.T))
             assert path.read_bytes() == expected.encode("utf-8")
+
+    @settings(max_examples=40, deadline=None)
+    @given(ints=st.lists(st.integers(-(10**12 - 1), 10**12 - 1), min_size=1, max_size=64),
+           n_rows=st.integers(1, CSV_BLOCK_ROWS + 1))
+    @example(ints=[0, 1, -1, 9, 10, 99999, 100000, 10**11, 10**12 - 1], n_rows=9)
+    def test_integer_columns_print_as_d(self, ints, n_rows):
+        # generation, N and p columns: %d, as history.csv and sweep.csv had
+        col = np.resize(np.array(ints), n_rows)
+        expected = "N,x\n" + "".join(f"{i:d},{i / 8:.12g}\n" for i in col.tolist())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ints.csv"
+            _write_rows(path, "N,x", (col, col / 8))
+            assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("chain, window", [("qpst", 400.0), ("christandl", 50.0)])
+def test_python_fallback_share(tmp_path, monkeypatch, chain, window):
+    # the values the numpy formatter hands to Python's % (ties, non-finite,
+    # extreme): a slide onto that slow path should fail here, not go unseen
+    spec = (ChainSpec.from_dict(QPST_CHAIN) if chain == "qpst"
+            else christandl_chain(2048, 1.0))
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    sent = []
+
+    def counted(values):
+        sent.extend(values)
+        return fallback(values)
+
+    fallback = spinchain._csvtext._python_g12
+    monkeypatch.setattr(spinchain._csvtext, "_python_g12", counted)
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--window", str(window), "--out", str(out)]) == 0
+    values = 3 * ((out / "trace.csv").read_text().count("\n") - 1)
+    assert values == 3 * (200 * int(window) + 1)
+    assert len(sent) < 0.01 * values
 
 
 class TestSimulate:
