@@ -227,12 +227,12 @@ def diagnostics_report(spec: ChainSpec, es: EigenSystem, p: int,
                        gamma: float) -> dict:
     """Bundle of analogue diagnostics in a JSON-friendly shape.
 
-    Reads only the spectrum and the sign convention, never an eigenvector:
-    ``nodes`` come from the oscillation theorem (``oscillation_nodes``), and
-    the rest from the ladder's band with no N x N array. That band part is
-    bit for bit equal to the dense composition: its products add only exact
-    zeros, and X's spectrum comes from ``chain.band_values`` of the same
-    bands.
+    Reads ``es.values`` and N only (``analyze`` passes ``vectors=None``).
+    ``nodes`` (oscillation theorem), ``commutator_residual``, ``x_pairs`` and
+    ``zero_mode`` (the ladder's band, bit for bit its dense composition) are
+    closed-form in (N, p, gamma, sign convention). Only ``ladder_residual``
+    reads the chain: ``analyze`` gives its ``dsterf`` eigenvalues
+    (``chain.band_values``) and gamma from their least-squares fit for p.
     """
     ladder = build_ladder(es, p, gamma)
     number = np.insert(np.square(ladder.sub), 0, 0.0)  # a_dag a = diag(0, sub^2)

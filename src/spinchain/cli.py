@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import ChainSpec, diagonalize_chain
+from .chain import ChainSpec, EigenSystem, _bands, band_values, diagonalize_chain
 from .dynamics import revival_peaks, trace
 from .errors import NumericalError
 from .ga import GAConfig, evolve
 from .reconstruct import _reconstruct
-from .spectra import PinchSpec, Spectrum, infer_pinch, pinched_spectrum, snap_to_pst
+from .spectra import PinchSpec, Spectrum, _pinched_fit, infer_pinch, pinched_spectrum, snap_to_pst
 from .sweep import deviation_sweep
 from .analogue import diagnostics_report
 
@@ -169,15 +169,11 @@ def cmd_optimize(args) -> int:
 
 def cmd_analyze(args) -> int:
     chain = ChainSpec.from_dict(_load_json(args.chain))
-    es = diagonalize_chain(chain)
-    if args.p is not None and args.gamma is not None:
-        p, gamma = args.p, args.gamma
-    else:
-        p, gamma = infer_pinch(es.values)
-        p = args.p if args.p is not None else p
-        gamma = args.gamma if args.gamma is not None else gamma
+    values = band_values(*_bands(chain))  # the report reads no eigenvector
+    p = args.p if args.p is not None else infer_pinch(values)[0]
+    gamma = args.gamma if args.gamma is not None else _pinched_fit(values, p)[1]
 
-    report = diagnostics_report(chain, es, p=p, gamma=gamma)
+    report = diagnostics_report(chain, EigenSystem(values, None), p=p, gamma=gamma)
     out = _out_dir(args)
     _write_json(out / "diagnostics.json", report)
     _write_manifest(out, "analyze", [args.chain], {"p": p, "gamma": gamma})

@@ -155,6 +155,8 @@ def trace(es: EigenSystem, window: float = 50.0, samples: int | None = None,
     """
     if j_max <= 0:
         raise ValueError(f"j_max must be positive, got {j_max}")
+    if not 0.0 < window < np.inf:
+        raise ValueError(f"window must be positive and finite, got {window}")
     if samples is None:
         samples = max(2, int(round(SAMPLES_PER_UNIT * window))) + 1
     if samples < 2:

@@ -51,6 +51,8 @@ class GAConfig:
             raise ValueError("population must be even and at least 2")
         if not self.mu_i >= self.mu_f >= 0.0:
             raise ValueError("need mu_i >= mu_f >= 0")
+        if not 0.0 < self.window < np.inf:
+            raise ValueError(f"window must be positive and finite, got {self.window}")
         if self.a < 0 or self.b < 0:
             raise ValueError("fitness weights must be nonnegative")
         if self.bounds[1] <= self.bounds[0]:

@@ -144,41 +144,43 @@ def _pinched_offsets(n: int, p: int) -> np.ndarray:
     return np.append(np.arange(n - 1, dtype=float), n - 2 + 1.0 / p)
 
 
-def snap_to_pst(s: Spectrum, p: int) -> Spectrum:
-    """Round a near-pinched spectrum onto the exact pinched family.
-
-    Least-squares fit over (lowest level, base spacing) of the family with
-    n-1 equidistant levels and a top gap compressed by 1/p; the result
-    satisfies the PST condition to machine precision.
-    """
+def _pinched_fit(values, p: int) -> tuple[float, float]:
+    """Least-squares ``(lam0, gamma)`` of lam = lam0 + gamma * ``_pinched_offsets(n, p)``."""
     if p < 1 or p % 2 == 0:
         raise ValueError(f"pinch p must be a positive odd integer, got {p}")
-    if s.n < 3:
-        raise ValueError("snapping needs at least 3 eigenvalues")
-    k = _pinched_offsets(s.n, p)  # model: lam = lam0 + gamma * k
-    design = np.column_stack([np.ones(s.n), k])
-    (lam0, gamma), *_ = np.linalg.lstsq(design, np.asarray(s.values), rcond=None)
+    k = _pinched_offsets(len(values), p)
+    design = np.column_stack([np.ones(k.size), k])
+    (lam0, gamma), *_ = np.linalg.lstsq(design, np.asarray(values), rcond=None)
     if gamma <= 0:
         raise ValueError("degenerate fit: nonpositive level spacing")
-    snapped = lam0 + gamma * k
-    return Spectrum(values=tuple(snapped), spacing=float(gamma), p=p,
+    return float(lam0), float(gamma)
+
+
+def snap_to_pst(s: Spectrum, p: int) -> Spectrum:
+    """Round a near-pinched spectrum onto its least-squares pinched fit
+    (``_pinched_fit``); the result satisfies the PST condition to machine precision."""
+    if s.n < 3:
+        raise ValueError("snapping needs at least 3 eigenvalues")
+    lam0, gamma = _pinched_fit(s.values, p)
+    snapped = lam0 + gamma * _pinched_offsets(s.n, p)
+    return Spectrum(values=tuple(snapped), spacing=gamma, p=p,
                     t_m=float(p * np.pi / gamma))
 
 
 def infer_pinch(values) -> tuple[int, float]:
     """Pinch ``p`` and base spacing ``gamma`` read off a near-pinched spectrum.
 
-    ``gamma`` is the lowest gap and ``p`` the odd integer nearest the ratio
-    of the lowest gap to the top gap (ties go to the smaller one).
+    ``p`` is the odd integer nearest the lowest-to-top gap ratio (ties go to the
+    smaller one) and ``gamma`` the least-squares fit for it, as ``snap_to_pst``'s.
     """
-    gamma = float(values[1] - values[0])
+    low = float(values[1] - values[0])
     top = float(values[-1] - values[-2])
-    if top <= 0 or gamma <= 0:
+    if top <= 0 or low <= 0:
         raise ValueError("cannot infer pinch parameters from the spectrum")
-    ratio = gamma / top
+    ratio = low / top
     lo = max(1, 2 * int(np.floor((ratio - 1) / 2)) + 1)
     p = lo if abs(lo - ratio) <= abs(lo + 2 - ratio) else lo + 2
-    return p, gamma
+    return p, _pinched_fit(values, p)[1]
 
 
 def spectral_symmetry_check(s: Spectrum, tol: float = 1e-9) -> bool:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinchain._csvtext
+import spinchain.chain
 import spinchain.cli
 from spinchain import (
     ChainSpec,
@@ -220,6 +221,13 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("window", ["-5", "0", "inf", "nan"])
+    def test_invalid_window_exit_2(self, tmp_path, chain_file, capsys, window):
+        out = tmp_path / "o"
+        assert main(["simulate", str(chain_file), "--window", window, "--out", str(out)]) == 2
+        assert "window must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_3(self, tmp_path, chain_file, monkeypatch, capsys):
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
                             scaled_eigenvectors(scipy.linalg.eigh_tridiagonal))
@@ -393,6 +401,65 @@ class TestAnalyze:
     def test_non_pinched_chain_exit_2(self, tmp_path, chain_file):
         # quasi-PST spectrum is not exactly pinched: ladder is undefined
         assert main(["analyze", str(chain_file), "--out", str(tmp_path / "o")]) == 2
+
+    @staticmethod
+    def analyze(tmp_path, n, p, *flags, rec_flags=()):
+        """Exit code, diagnostics.json and manifest parameters of ``analyze``
+        on the reconstructed pinched chain (n, p, alpha = 1/2)."""
+        rec, out = tmp_path / f"rec{n}-{p}", tmp_path / f"ana{n}-{p}-{len(flags)}"
+        assert main(["reconstruct", "--pinched", str(n), str(p), "0.5",
+                     *rec_flags, "--out", str(rec)]) == 0
+        code = main(["analyze", str(rec / "chain.json"), *flags, "--out", str(out)])
+        if code:
+            return code, None, None
+        return (code, (out / "diagnostics.json").read_bytes(),
+                read_json(out / "manifest.json")["parameters"])
+
+    def test_p_alone_fits_gamma_for_it(self, tmp_path):
+        # --p alone gets the same least-squares gamma as the inferred run
+        _, inferred, params = self.analyze(tmp_path, 7, 5)
+        assert params["p"] == 5
+        assert self.analyze(tmp_path, 7, 5, "--p", "5")[1:] == (inferred, params)
+
+    def test_gamma_alone_infers_p(self, tmp_path):
+        code, report, params = self.analyze(tmp_path, 7, 5, "--gamma", "1.0")
+        assert code == 0
+        assert params == {"p": 5, "gamma": 1.0}
+        assert json.loads(report)["ladder_residual"] <= 1e-12
+
+    @pytest.mark.parametrize("flags", [("--p", "4"), ("--p", "0"), ("--gamma", "0"),
+                                       ("--p", "5", "--gamma", "-1")])
+    def test_invalid_flags_exit_2(self, tmp_path, flags):
+        assert self.analyze(tmp_path, 7, 5, *flags)[0] == 2
+
+    def test_positive_convention_reverses_nodes(self, tmp_path):
+        code, report, _ = self.analyze(tmp_path, 9, 3, rec_flags=("--convention", "positive"))
+        assert code == 0
+        assert json.loads(report)["nodes"] == list(range(9))[::-1]
+
+    def test_solves_no_eigenvectors(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze solved for eigenvectors")
+        monkeypatch.setattr(spinchain.chain, "eigendecompose", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+        code, report, _ = self.analyze(tmp_path, 85, 3)
+        assert code == 0
+        assert json.loads(report)["nodes"] == list(range(85))
+
+    @pytest.mark.parametrize("shift", [0.0, -2.740285928251791])
+    @pytest.mark.parametrize("p", [1, 3, 9])
+    @pytest.mark.parametrize("n", [85, 512, 2047, 2048])
+    def test_ladder_residual_at_scale(self, tmp_path, n, p, shift):
+        # gamma fitted by least squares: the lowest gap's error no longer grows
+        # (N - 2)-fold up the ladder (it reached 7.95e-13 of the spread at
+        # N = 2048, p = 3)
+        code, report, _ = self.analyze(tmp_path, n, p, rec_flags=("--shift", repr(shift)))
+        assert code == 0
+        report = json.loads(report)
+        assert report["ladder_residual"] <= 2e-14 * (n - 2 + 1.0 / p)  # spread, gamma = 1
+        assert report["nodes"] == list(range(n))
+        assert report["zero_mode"] is (n % 2 == 1)
+        assert len(report["x_pairs"]) == n // 2
 
 
 class TestSweep:

@@ -338,6 +338,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(mu_i=0.01, mu_f=0.2)
 
+    @pytest.mark.parametrize("window", [-5.0, 0.0, np.inf, np.nan])
+    def test_window_positive_and_finite(self, window):
+        with pytest.raises(ValueError, match="window must be positive and finite"):
+            small_config(window=window)
+
     def test_json_roundtrip(self):
         cfg = small_config()
         assert GAConfig.from_dict(cfg.to_dict()) == cfg

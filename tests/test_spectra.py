@@ -181,6 +181,7 @@ class TestInferPinch:
         got_p, gamma = infer_pinch(np.array(s.values))
         assert got_p == p
         assert gamma == pytest.approx(2.0 * alpha, rel=1e-9)
+        assert gamma == snap_to_pst(Spectrum(s.values), p).spacing  # one fit
 
     @pytest.mark.parametrize("values", [
         [0.0, 0.0, 1.0, 2.0], [1.0, 0.0, 1.0, 2.0],
