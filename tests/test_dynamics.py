@@ -25,7 +25,8 @@ from spinchain import (
     transition_amplitude,
 )
 
-from spinchain.dynamics import _cos_sin_table, _phase_table, fidelity_grid
+from spinchain import dynamics
+from spinchain.dynamics import GOLDEN, _cos_sin_table, _phase_table, fidelity_grid
 
 from conftest import uniform_chain
 
@@ -38,12 +39,61 @@ def assert_bitwise(a, b):
 
 
 @st.composite
-def small_chains(draw):
-    """Chains of 2-60 sites, palindromic (the deferred mirror solve) or not."""
-    n = draw(st.integers(2, 60))
+def small_chains(draw, max_n=60):
+    """Chains of 2-max_n sites, palindromic (the deferred mirror solve) or not."""
+    n = draw(st.integers(2, max_n))
     coupling = st.one_of(st.floats(0.2, 5.0), st.floats(-5.0, -0.2))
     couplings = draw(st.lists(coupling, min_size=n - 1, max_size=n - 1))
     onsite = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        onsite[n - n // 2:] = onsite[: n // 2][::-1]
+        couplings[n - 1 - (n - 1) // 2:] = couplings[: (n - 1) // 2][::-1]
+    convention = draw(st.sampled_from(["negative", "positive"]))
+    return ChainSpec(onsite=tuple(onsite), couplings=tuple(couplings),
+                     sign_convention=convention)
+
+
+def golden_refine(fun, a, b, tol=1e-6):
+    """The scalar golden-section maximization of fun on [a, b]."""
+    x1 = b - GOLDEN * (b - a)
+    x2 = a + GOLDEN * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = fun(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = fun(x1)
+    x = 0.5 * (a + b)
+    return x, fun(x)
+
+
+def scalar_peaks(es, tr, j_max):
+    """The trace's grid maxima above 0.5, each refined by ``golden_refine``
+    over ``transfer_fidelity``."""
+    x, f = tr.times, tr.transfer
+    peaks = []
+    for i in range(1, len(f) - 1):
+        if f[i] > f[i - 1] and f[i] >= f[i + 1] and f[i] > 0.5:
+            xp, fp = golden_refine(lambda xq: transfer_fidelity(es, xq / j_max),
+                                   x[i - 1], x[i + 1])
+            peaks.append((float(xp), float(fp)))
+    return peaks
+
+
+@st.composite
+def near_pst_chains(draw):
+    """Christandl chains of 2-40 sites with up to 5% noise on every coupling
+    and on-site energy, palindromic or not: their traces have many peaks."""
+    n = draw(st.integers(2, 40))
+    noise = st.floats(-0.05, 0.05)
+    i = np.arange(1, n)
+    couplings = np.sqrt(i * (n - i)) * (1.0 + np.array(
+        draw(st.lists(noise, min_size=n - 1, max_size=n - 1))))
+    onsite = np.array(draw(st.lists(noise, min_size=n, max_size=n))) * n
     if draw(st.booleans()):
         onsite[n - n // 2:] = onsite[: n // 2][::-1]
         couplings[n - 1 - (n - 1) // 2:] = couplings[: (n - 1) // 2][::-1]
@@ -78,6 +128,11 @@ class TestPropagate:
     def test_negative_time_rejected(self, qpst_es):
         with pytest.raises(ValueError):
             propagate(qpst_es, 0, -1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, qpst_es, t):
+        with pytest.raises(ValueError, match="finite"):
+            propagate(qpst_es, 0, t)
 
     def test_matches_expm_oracle(self):
         # brute-force matrix exponential, independent of the eigensolver path
@@ -148,6 +203,37 @@ class TestTrace:
             trace(qpst_es, window=10.0, samples=1)
         with pytest.raises(ValueError):
             trace(qpst_es, window=10.0, j_max=0.0)
+
+    @pytest.mark.parametrize("j_max", [math.nan, math.inf])
+    def test_non_finite_j_max_rejected(self, qpst_es, j_max):
+        with pytest.raises(ValueError, match="finite"):
+            trace(qpst_es, window=10.0, j_max=j_max)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(small_chains(max_n=40), near_pst_chains()),
+           st.sampled_from([50.0, 400.0, 1234.5]))
+    def test_peaks_match_scalar_golden_search(self, chain, window):
+        # the batched bracket search runs the scalar loop's iterates in the
+        # same arithmetic, so the peaks are the same floats
+        es = diagonalize_chain(chain)
+        tr = trace(es, window=window, j_max=chain.j_max)
+        assert tr.peaks == scalar_peaks(es, tr, chain.j_max)
+
+    def test_one_scalar_call_per_peak(self, qpst_chain, qpst_es, monkeypatch):
+        calls = []
+
+        def counted(es, t):
+            calls.append(t)
+            return transfer_fidelity(es, t)
+
+        monkeypatch.setattr(dynamics, "transfer_fidelity", counted)
+        tr = trace(qpst_es, window=400.0, j_max=qpst_chain.j_max)
+        assert len(tr.peaks) > 1 and len(calls) == len(tr.peaks)
+        # 0.2 units: the excitation has not reached the far end
+        calls.clear()
+        tr = trace(qpst_es, window=0.2, j_max=qpst_chain.j_max)
+        assert tr.transfer.max() < 0.5
+        assert tr.peaks == [] and calls == []
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
