@@ -5,10 +5,16 @@ A genome is the free half of a palindromic profile. Fitness rewards the best
 transfer fidelity seen inside the evaluation window and penalizes deviation
 of the spectrum from the target pinched shape (top gap 1/p of the rest,
 lower gaps equal).
+
+Scoring runs in two stages: the batched spectral solve and gap scores of
+every new genome, then the fidelity grid. The spectrum alone bounds the
+fitness (F <= 1), so ``evolve`` grids only the genomes that selection could
+still keep; ``_evaluate_block`` and ``fitness`` grid every row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -18,6 +24,13 @@ from .dynamics import fidelity_grid
 from .spectra import Spectrum
 
 FITNESS_GRID_CHUNK = 32  # a 32-genome amp block (~1 MB at 2001 samples) stays in L2
+# A palindromic chain's end weights have magnitudes summing to 1, so every grid
+# F is at most 1 up to rounding and fitness at F_CEILING bounds a row's fitness.
+F_CEILING = 1.0 + 1e-9
+# A row skips the grid only when its bound is this far below the k-th best
+# fitness: the margin absorbs rounding in the fitness formula, and no skipped
+# row can tie a kept one.
+PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,6 +54,18 @@ class GAConfig:
     seed_parabolic: bool = False
 
     def __post_init__(self):
+        for name in ("n", "p", "generations", "population", "samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("a", "b", "coupling", "mutation_width_frac"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if len(self.bounds) != 2 or not all(map(math.isfinite, self.bounds)):
+            raise ValueError(f"bounds must be a finite pair, got {self.bounds!r}")
+        if self.mutation_width_frac < 0:
+            raise ValueError("mutation_width_frac must be nonnegative")
         if self.n < 4:
             raise ValueError("GA spectral penalty needs at least 4 sites")
         if self.p < 1 or self.p % 2 == 0:
@@ -160,37 +185,86 @@ def _spectral_scores(lam: np.ndarray):
     return q, sigma
 
 
-def _evaluate_block(genomes: np.ndarray, cfg: GAConfig):
-    """Fitness of every genome in a (pop, half) block.
+def _spectral_stage(genomes: np.ndarray, cfg: GAConfig):
+    """Spectra and spectral scores of every genome in a (rows, half) block.
 
     A genome is the top half of a palindromic chain's diagonal, so each chain
     is solved as its even and odd half-size mirror blocks
-    (``chain.mirror_spectra``). The (lam, w) pairs stay in block order for
-    ``dynamics.fidelity_grid``, taken over chunks of genomes to bound memory;
-    the gap scores sort the eigenvalues.
+    (``chain.mirror_spectra``). Returns ``lam`` and ``w`` in block order, for
+    ``_grid_stage``, and upsilon, Q and sigma, from the sorted eigenvalues.
     """
-    pop = genomes.shape[0]
-    off = np.full((pop, cfg.n // 2), -abs(cfg.coupling))
+    off = np.full((genomes.shape[0], cfg.n // 2), -abs(cfg.coupling))
     lam, w = mirror_spectra(genomes, off, cfg.n)
+    q, sigma = _spectral_scores(np.sort(lam, axis=1))
+    upsilon = np.abs(q - 1.0 / cfg.p) + sigma
+    return lam, w, upsilon, q, sigma
+
+
+def _grid_stage(lam: np.ndarray, w: np.ndarray, cfg: GAConfig):
+    """Grid F_max and its t*J_max for every row of ``_spectral_stage``'s
+    (lam, w), through ``dynamics.fidelity_grid`` over chunks of rows to bound
+    memory."""
+    rows = lam.shape[0]
     # the window is in t*J_max units; with |J| uniform, J_max = |coupling|
     dt = cfg.window / (cfg.samples - 1) / abs(cfg.coupling)
-    f_max = np.empty(pop)
-    t_best = np.empty(pop)
-    for lo in range(0, pop, FITNESS_GRID_CHUNK):
+    f_max = np.empty(rows)
+    t_best = np.empty(rows)
+    for lo in range(0, rows, FITNESS_GRID_CHUNK):
         chunk = slice(lo, lo + FITNESS_GRID_CHUNK)
         f = fidelity_grid(lam[chunk], w[chunk], dt, cfg.samples)
         best_idx = np.argmax(f, axis=1)
         f_max[chunk] = f[np.arange(len(f)), best_idx]
         t_best[chunk] = best_idx * (cfg.window / (cfg.samples - 1))
+    return f_max, t_best
 
-    q, sigma = _spectral_scores(np.sort(lam, axis=1))
-    upsilon = np.abs(q - 1.0 / cfg.p) + sigma
+
+def _shaped(f_max, upsilon: np.ndarray, cfg: GAConfig) -> np.ndarray:
+    """(a F - b upsilon) / (a F + b upsilon), 0 where the denominator is not
+    positive and -inf where the quotient is not finite."""
     denom = cfg.a * f_max + cfg.b * upsilon
     with np.errstate(divide="ignore", invalid="ignore"):
         fitness = np.where(denom > 0.0,
                            (cfg.a * f_max - cfg.b * upsilon) / denom, 0.0)
-    fitness = np.where(np.isfinite(fitness), fitness, -np.inf)
-    return fitness, f_max, upsilon, q, sigma, t_best
+    return np.where(np.isfinite(fitness), fitness, -np.inf)
+
+
+def _evaluate_block(genomes: np.ndarray, cfg: GAConfig):
+    """Fitness, F_max, upsilon, Q, sigma and best time of every genome in a
+    (pop, half) block: the full scorer, every row through the grid."""
+    lam, w, upsilon, q, sigma = _spectral_stage(genomes, cfg)
+    f_max, t_best = _grid_stage(lam, w, cfg)
+    return _shaped(f_max, upsilon, cfg), f_max, upsilon, q, sigma, t_best
+
+
+def _score_fresh(scores, genomes: np.ndarray, fresh: np.ndarray, k: int,
+                 cfg: GAConfig) -> None:
+    """Score rows ``fresh`` of a population in place, gridding only rows that
+    can still rank among the top ``k``.
+
+    Every fresh row gets its spectral scores. Rows then reach the grid in
+    descending fitness bound (``_shaped`` at F = F_CEILING), one
+    FITNESS_GRID_CHUNK at a time, while the bound is at least the k-th best
+    fitness known so far less PRUNE_MARGIN. The rest keep fitness -inf and
+    NaN F_max and best time: each one's fitness is below that k-th best, so
+    it is outside the top k.
+    """
+    fit, f_max, upsilon, q, sigma, t_best = scores
+    lam, w, ups, q[fresh], sigma[fresh] = _spectral_stage(genomes[fresh], cfg)
+    upsilon[fresh] = ups
+    fit[fresh] = -np.inf
+    f_max[fresh] = t_best[fresh] = np.nan
+    bound = _shaped(F_CEILING, ups, cfg)
+    rank = np.argsort(-bound, kind="stable")
+    kth = fit.size - k
+    for lo in range(0, rank.size, FITNESS_GRID_CHUNK):
+        threshold = np.partition(fit, kth)[kth] - PRUNE_MARGIN
+        chunk = rank[lo:lo + FITNESS_GRID_CHUNK]
+        chunk = chunk[bound[chunk] >= threshold]
+        if not chunk.size:
+            break
+        rows = fresh[chunk]
+        f_max[rows], t_best[rows] = _grid_stage(lam[chunk], w[chunk], cfg)
+        fit[rows] = _shaped(f_max[rows], ups[chunk], cfg)
 
 
 def fitness(ind: GAIndividual, cfg: GAConfig) -> FitnessReport:
@@ -222,9 +296,18 @@ def evolve(cfg: GAConfig, initial: np.ndarray | None = None) -> GAReport:
     Each generation scores only its new genomes. A child equal to one of its
     parents (no gene mutated, or every mutated gene clipped back to the
     parent's value) is that parent's genome and inherits its scores, and so
-    does the elite; the rest go through ``_evaluate_block`` as one block.
-    Scores depend on a row's genome alone, never on its block neighbours, so
-    the search is the same as rescoring everything.
+    does the elite. The rest are solved as one block (``_spectral_stage``),
+    and reach the fidelity grid only while they can still rank among the top
+    k, the rows the loop reads: k = population/2, or 1 in the final
+    generation (generation 0 when ``generations`` is 0). A palindrome's grid
+    F never exceeds 1 + rounding, and for finite a, b >= 0 fitness does not
+    decrease with F, so fitness at F = F_CEILING bounds each row. Rows go to
+    the grid in descending bound until a bound falls PRUNE_MARGIN below the
+    k-th best fitness known (inherited rows first, then each gridded chunk).
+    A row left off holds fitness -inf and NaN F_max and best time; its true
+    fitness is below the k-th best, so selection, the elite, the history and
+    the best never read it. Scores depend on a row's genome alone, never on
+    its block neighbours, so the search is the same as rescoring everything.
     """
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.bounds
@@ -241,7 +324,13 @@ def evolve(cfg: GAConfig, initial: np.ndarray | None = None) -> GAReport:
     if cfg.seed_parabolic:
         genomes[0] = _parabolic_genome(cfg)
 
-    scores = _evaluate_block(genomes, cfg)
+    # selection reads the top half of every generation but the final one,
+    # which is read only for its best row
+    def keep(g: int) -> int:
+        return 1 if g == cfg.generations else pop // 2
+
+    scores = tuple(np.empty(pop) for _ in range(6))
+    _score_fresh(scores, genomes, np.arange(pop), keep(0), cfg)
     history = []
 
     def record(generation: int):
@@ -286,8 +375,7 @@ def evolve(cfg: GAConfig, initial: np.ndarray | None = None) -> GAReport:
         fresh = np.flatnonzero(src < 0)
         scores = tuple(column[src] for column in scores)
         if fresh.size:
-            for column, new in zip(scores, _evaluate_block(genomes[fresh], cfg)):
-                column[fresh] = new
+            _score_fresh(scores, genomes, fresh, keep(g), cfg)
         record(g)
 
     j = int(np.argmax(scores[0]))

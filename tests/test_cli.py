@@ -376,6 +376,20 @@ class TestOptimize:
         bad.write_text(json.dumps({"n": 4, "p": 2}))
         assert main(["optimize", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("field, text", [("population", "16.0"), ("n", "5.0"),
+                                             ("generations", "1.0"), ("samples", "201.0"),
+                                             ("bounds", "[0, Infinity]"), ("a", "NaN")])
+    def test_malformed_field_exit_2(self, tmp_path, capsys, field, text):
+        # JSON floats where integers belong, and non-finite reals, are refused
+        # before any search runs
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 5, "p": 3, "population": 16, "generations": 1, '
+                       f'"samples": 201, "{field}": {text}}}')
+        out = tmp_path / "o"
+        assert main(["optimize", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_pst_chain(self, tmp_path):

@@ -21,7 +21,13 @@ from spinchain import (
     transfer_fidelity,
 )
 from spinchain import ga as ga_module
-from spinchain.ga import FITNESS_GRID_CHUNK, _evaluate_block
+from spinchain.ga import (
+    F_CEILING,
+    FITNESS_GRID_CHUNK,
+    FitnessReport,
+    _evaluate_block,
+    _shaped,
+)
 
 QPST_SHIFTED = (1.0, 2.006, 3.001, 3.994, 4.326)
 
@@ -148,6 +154,19 @@ class TestFidelityGrid:
                 assert q[row] == pytest.approx(q_factor(spectrum), rel=1e-12, abs=0)
                 assert sigma[row] == pytest.approx(sigma_lambda(spectrum), rel=0, abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 40), st.sampled_from([-1.0, 1.0]), st.floats(0.2, 5.0),
+           st.sampled_from([0.0, 1.0, 10.0]), st.sampled_from([0.0, 1.0, 10.0]),
+           st.integers(0, 2**16))
+    def test_fitness_bounded_by_spectrum(self, n, sign, magnitude, a, b, seed):
+        # the bound evolve() prunes with: F never exceeds F_CEILING, and a
+        # row's fitness never exceeds the fitness formula at F_CEILING
+        cfg = GAConfig(n=n, p=3, coupling=sign * magnitude, a=a, b=b, samples=401)
+        genomes = np.random.default_rng(seed).uniform(0.0, 5.0, (40, cfg.genome_length))
+        fit, f_max, upsilon, *_ = _evaluate_block(genomes, cfg)
+        assert np.all(f_max <= F_CEILING)
+        assert np.all(fit <= _shaped(F_CEILING, upsilon, cfg))
+
     def test_rows_independent_of_block(self):
         # fitness() scores a one-row block and evolve() scores a generation's
         # new rows as a short block; each row must equal, bit for bit, the
@@ -209,8 +228,9 @@ class TestEvolve:
         # generation 0
         cfg = small_config(generations=6, mu_i=0.0, mu_f=0.0)
         clones = np.tile([2.5, 1.0], (cfg.population, 1))
-        report, scored = counted_evolve(cfg, initial=clones)
-        assert scored == [cfg.population]
+        report, fresh, gridded = counted_evolve(cfg, initial=clones)
+        assert fresh == [cfg.population]
+        assert len(gridded) == 1 and gridded[0] <= fresh[0]
         assert all(row | {"generation": 0} == report.history[0]
                    for row in report.history)
 
@@ -230,11 +250,46 @@ class TestEvolve:
         # counts the children that differ from both their parents: only those
         # may reach the fitness kernel after generation 0
         cfg = small_config(generations=20)
-        report, scored = counted_evolve(cfg)
-        history, fresh = rescoring_evolve(cfg)
+        report, scored, gridded = counted_evolve(cfg)
+        history, fresh, _ = rescoring_evolve(cfg)
         assert report.history == history
         assert scored[0] == cfg.population
         assert sum(scored[1:]) == fresh < cfg.population * cfg.generations
+        assert all(g <= s for g, s in zip(gridded, scored, strict=True))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_pruned_search_equals_full_rescoring(self, data):
+        # rows kept off the grid must never change the search: history, best
+        # genome and best report equal, bit for bit, a loop that grids every
+        # row of every generation
+        n = data.draw(st.integers(4, 12), label="n")
+        cfg = GAConfig(
+            n=n, p=data.draw(st.sampled_from([1, 3, 9]), label="p"),
+            population=2 * data.draw(st.integers(1, 65), label="population/2"),
+            generations=data.draw(st.integers(0, 5), label="generations"),
+            a=data.draw(st.sampled_from([0.0, 1.0, 10.0]), label="a"),
+            b=data.draw(st.sampled_from([0.0, 1.0, 10.0]), label="b"),
+            mu_f=data.draw(st.sampled_from([0.0, 0.01]), label="mu_f"),
+            samples=data.draw(st.sampled_from([3, 401, 2001]), label="samples"),
+            seed_parabolic=data.draw(st.booleans(), label="seed_parabolic"),
+            seed=data.draw(st.integers(0, 2**16), label="seed"))
+        initial = None
+        if data.draw(st.booleans(), label="clones"):
+            genome = np.random.default_rng(cfg.seed).uniform(0.0, 5.0, cfg.genome_length)
+            initial = np.tile(genome, (cfg.population, 1))
+        report = evolve(cfg, initial=initial)
+        history, _, (genome, best_report) = rescoring_evolve(cfg, initial=initial)
+        assert report.history == history
+        assert report.best.genome == genome
+        assert report.best_report == best_report
+
+    def test_grids_under_60_percent_of_fresh_rows(self):
+        # a criterion-10 sized generation keeps half its rows and the final
+        # one only its best, so most fresh rows never reach the grid
+        report, fresh, gridded = counted_evolve(
+            GAConfig(n=5, p=3, population=1024, generations=2, seed=11))
+        assert sum(gridded) < 0.6 * sum(fresh)
 
     @pytest.mark.parametrize("n, p", [(4, 3), (5, 3), (9, 9)])
     def test_best_report_is_fitness_of_best(self, n, p):
@@ -257,28 +312,42 @@ class TestEvolve:
 
 
 def counted_evolve(cfg, initial=None):
-    """evolve() and the row count of each fitness-kernel call it made."""
-    scored = []
+    """evolve(), and per scoring generation the rows it solved (fresh) and the
+    rows of those that reached the fidelity grid."""
+    fresh, gridded = [], []
+    spectral_stage, grid_stage = ga_module._spectral_stage, ga_module._grid_stage
 
-    def counted(genomes, config):
-        scored.append(len(genomes))
-        return _evaluate_block(genomes, config)
+    def counted_spectral(genomes, config):
+        fresh.append(len(genomes))
+        gridded.append(0)
+        return spectral_stage(genomes, config)
+
+    def counted_grid(lam, w, config):
+        gridded[-1] += len(lam)
+        return grid_stage(lam, w, config)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ga_module, "_evaluate_block", counted)
-        return evolve(cfg, initial=initial), scored
+        mp.setattr(ga_module, "_spectral_stage", counted_spectral)
+        mp.setattr(ga_module, "_grid_stage", counted_grid)
+        return evolve(cfg, initial=initial), fresh, gridded
 
 
-def rescoring_evolve(cfg):
+def rescoring_evolve(cfg, initial=None):
     """evolve()'s generational loop, rescoring every genome every generation.
 
-    Returns the history and the number of children that differ from both
-    their parents, summed over generations 1..G.
+    Returns the history, the number of children that differ from both their
+    parents, summed over generations 1..G, and the best genome with its
+    FitnessReport.
     """
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.bounds
     pop, half = cfg.population, cfg.genome_length
-    genomes = rng.uniform(lo, hi, size=(pop, half))
+    if initial is not None:
+        genomes = np.array(initial, dtype=float)
+    else:
+        genomes = rng.uniform(lo, hi, size=(pop, half))
+    if cfg.seed_parabolic:
+        genomes[0] = ga_module._parabolic_genome(cfg)
     scores = _evaluate_block(genomes, cfg)
     history, fresh = [], 0
 
@@ -299,7 +368,9 @@ def rescoring_evolve(cfg):
         take_a = rng.random((pop - 1, half)) < 0.5
         children = np.where(take_a, parents[ia], parents[ib])
         mutate = rng.random((pop - 1, half)) < mu
-        width = cfg.mutation_width_frac * (hi - lo) * mu / cfg.mu_i
+        width = cfg.mutation_width_frac * (hi - lo)
+        if cfg.mu_i > 0:
+            width *= mu / cfg.mu_i
         children = children + mutate * rng.normal(0.0, 1.0, size=(pop - 1, half)) * width
         np.clip(children, lo, hi, out=children)
         fresh += sum(not (np.array_equal(c, parents[a]) or np.array_equal(c, parents[b]))
@@ -307,7 +378,8 @@ def rescoring_evolve(cfg):
         genomes = np.vstack([genomes[order[0]][None, :], children])
         scores = _evaluate_block(genomes, cfg)
         record(g)
-    return history, fresh
+    j = int(np.argmax(scores[0]))
+    return history, fresh, (tuple(genomes[j]), FitnessReport(*(float(s[j]) for s in scores)))
 
 
 # evolve(small_config()): (best_f, best_Fmax, best_Q, best_sigma) per generation
@@ -342,6 +414,30 @@ class TestConfigValidation:
     def test_window_positive_and_finite(self, window):
         with pytest.raises(ValueError, match="window must be positive and finite"):
             small_config(window=window)
+
+    @pytest.mark.parametrize("field", ["n", "p", "generations", "population",
+                                       "samples", "seed"])
+    @pytest.mark.parametrize("cast", [float, bool])
+    def test_integer_fields_need_int(self, field, cast):
+        value = getattr(small_config(), field)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_config(**{field: cast(value)})
+
+    @pytest.mark.parametrize("field", ["a", "b", "coupling", "mutation_width_frac"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_real_fields_need_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("bounds", [(0.0, np.inf), (-np.inf, 5.0), (0.0, np.nan),
+                                        (0.0,), (0.0, 2.0, 5.0)])
+    def test_bounds_need_finite_pair(self, bounds):
+        with pytest.raises(ValueError, match="bounds must be a finite pair"):
+            small_config(bounds=bounds)
+
+    def test_mutation_width_nonnegative(self):
+        with pytest.raises(ValueError, match="mutation_width_frac must be nonnegative"):
+            small_config(mutation_width_frac=-0.05)
 
     def test_json_roundtrip(self):
         cfg = small_config()
