@@ -235,9 +235,11 @@ def diagnostics_report(spec: ChainSpec, es: EigenSystem, p: int,
     (``chain.band_values``) and gamma from their least-squares fit for p.
     """
     ladder = build_ladder(es, p, gamma)
-    number = np.insert(np.square(ladder.sub), 0, 0.0)  # a_dag a = diag(0, sub^2)
+    squares = np.zeros(ladder.n + 1)
+    np.square(ladder.sub, out=squares[1:-1])
+    number = squares[:-1]  # a_dag a = diag(0, sub^2)
     # [a, a_dag] = R^T R - R R^T, with R^T R = diag(sub^2, 0)
-    commutator = np.append(number[1:], 0.0) - number - ladder._commutator_diagonal()
+    commutator = squares[1:] - number - ladder._commutator_diagonal()
     x_values = band_values(np.zeros(ladder.n), 0.5 * ladder.sub)
     pairs, zero_mode = _pair_off(x_values)
     return {

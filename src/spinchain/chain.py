@@ -16,8 +16,15 @@ first read, while ``end_weights`` (V[0] * V[N-1], all that a fidelity trace
 reads) come from the blocks' first components. ``simulate`` never builds the
 N x N matrix.
 
+Eigenpairs come from LAPACK ``dstevd`` and values alone from ``dsterf``,
+both called directly: they treat a zero off-diagonal as a split point, so
+``mirror_values`` solves both mirror blocks in one ``dsterf`` call, laid end
+to end with a zero coupling between them. ``eigendecompose`` refuses
+non-finite bands with ``ValueError`` before any solve.
+
 Each solved block is checked for orthonormality, then for its banded
-residual r = Hv - lambda v. A block of more than RESIDUAL_TILE rows forms no
+residual r = Hv - lambda v, in one pass over a block of at most
+RESIDUAL_TILE rows and tile by tile over a larger one. A larger block forms no
 dense Gram product: for computed pairs the identity
 (lambda_k - lambda_j) v_j.v_k = r_j.v_k - v_j.r_k bounds every off-diagonal
 Gram entry by the residual norms over the eigenvalue gap, so only pairs
@@ -48,6 +55,14 @@ PAIR_BUDGET_DIVISOR = 128
 MIRROR_TOL = 1e-9
 
 
+def _float_tuple(values) -> tuple[float, ...]:
+    """``values`` as a tuple of Python floats. A 1-D float64 array takes one
+    ``tolist()``, whose entries are those floats already."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
+        return tuple(values.tolist())
+    return tuple(map(float, values))
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """An N-site chain: on-site energies and nearest-neighbour couplings.
@@ -64,8 +79,8 @@ class ChainSpec:
     sign_convention: str = "negative"
 
     def __post_init__(self):
-        object.__setattr__(self, "onsite", tuple(map(float, self.onsite)))
-        object.__setattr__(self, "couplings", tuple(map(float, self.couplings)))
+        object.__setattr__(self, "onsite", _float_tuple(self.onsite))
+        object.__setattr__(self, "couplings", _float_tuple(self.couplings))
         if self.n < 2:
             raise ValueError(f"chain needs at least 2 sites, got {self.n}")
         if len(self.couplings) != self.n - 1:
@@ -250,11 +265,20 @@ def band_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def mirror_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the palindromic chain with bands (d, e): its two
-    blocks' ``band_values`` merged, so either sign of ``e`` gives the same."""
-    values = np.concatenate([band_values(*block) for block in mirror_bands(d, e, d.size)])
-    values.sort()
-    return values
+    """Ascending eigenvalues of the palindromic chain with bands (d, e), so either
+    sign of ``e`` gives the same: one ``band_values`` call over its two blocks
+    laid end to end with a zero coupling between them, where ``dsterf`` splits
+    them, solves each on its own and sorts all the values. If that call fails,
+    the blocks are solved one at a time, so the error names the failing block."""
+    blocks = mirror_bands(d, e, d.size)
+    (even_d, even_e), (odd_d, odd_e) = blocks
+    try:
+        return band_values(np.concatenate([even_d, odd_d]),
+                           np.concatenate([even_e, [0.0], odd_e]))
+    except NumericalError:
+        for block in blocks:
+            band_values(*block)
+        raise
 
 
 def mirror_spectra(d: np.ndarray, e: np.ndarray, n: int):
@@ -290,30 +314,44 @@ def _fix_row_signs(rows: np.ndarray) -> None:
     np.negative(rows, out=rows, where=(lead < 0.0)[:, None])
 
 
+def _residual_peak(d: np.ndarray, e: np.ndarray, values: np.ndarray, v: np.ndarray,
+                   row_sq: np.ndarray | None = None, r: np.ndarray | None = None,
+                   shifted: np.ndarray | None = None) -> float:
+    """max |(H - lambda) v| over the eigenpairs (``values``, rows of ``v``), H the
+    bands (d, e): (d - lambda) v plus the two shifted off-diagonal terms, built
+    in ``r`` with ``shifted`` as scratch when they are given. ``row_sq``, if
+    given, receives each row's squared residual 2-norm."""
+    r = np.subtract(d, values[:, None], out=r)
+    r *= v
+    r[:, :-1] += np.multiply(v[:, 1:], e, out=shifted)
+    r[:, 1:] += np.multiply(v[:, :-1], e, out=shifted)
+    if row_sq is not None:
+        np.einsum("ij,ij->i", r, r, out=row_sq)
+    return np.abs(r, out=r).max()
+
+
 def _banded_residual(d: np.ndarray, e: np.ndarray, values: np.ndarray,
                      vt: np.ndarray, row_sq: np.ndarray | None = None) -> float:
     """max |(H - lambda) v| over the eigenpairs, H the bands (d, e) and v the
-    rows of ``vt``: (d - lambda) v plus the two shifted off-diagonal terms.
+    rows of ``vt``; ``row_sq``, if given, receives each row's squared
+    residual 2-norm (``_residual_peak``).
 
-    Runs over tiles of RESIDUAL_TILE rows through one reused buffer pair,
-    each entry computed as on the whole array, so the figure is the same;
-    a NaN entry makes it NaN. ``row_sq``, if given, receives each row's
-    squared residual 2-norm.
+    A block of at most RESIDUAL_TILE rows is one pass over the whole block.
+    A larger one runs over tiles of RESIDUAL_TILE rows through one reused
+    buffer pair, each entry computed as on the whole array, so the figure is
+    the same; a NaN entry makes it NaN.
     """
     k = values.size
-    rows = min(RESIDUAL_TILE, k)
-    r, shifted = np.empty((rows, k)), np.empty((rows, k - 1))
-    peaks = np.empty(-(-k // rows))
-    for tile, start in enumerate(range(0, k, rows)):
-        v = vt[start: start + rows]
-        rt, st = r[: len(v)], shifted[: len(v)]
-        np.subtract(d, values[start: start + rows, None], out=rt)
-        rt *= v
-        rt[:, :-1] += np.multiply(v[:, 1:], e, out=st)
-        rt[:, 1:] += np.multiply(v[:, :-1], e, out=st)
-        if row_sq is not None:
-            np.einsum("ij,ij->i", rt, rt, out=row_sq[start: start + rows])
-        peaks[tile] = np.abs(rt, out=rt).max()
+    if k <= RESIDUAL_TILE:
+        return _residual_peak(d, e, values, vt, row_sq)
+    r, shifted = np.empty((RESIDUAL_TILE, k)), np.empty((RESIDUAL_TILE, k - 1))
+    peaks = np.empty(-(-k // RESIDUAL_TILE))
+    for tile, start in enumerate(range(0, k, RESIDUAL_TILE)):
+        rows = slice(start, start + RESIDUAL_TILE)
+        v = vt[rows]
+        peaks[tile] = _residual_peak(d, e, values[rows], v,
+                                     None if row_sq is None else row_sq[rows],
+                                     r[: len(v)], shifted[: len(v)])
     return peaks.max()
 
 
@@ -378,6 +416,17 @@ def _orthonormal_by_gaps(d: np.ndarray, e: np.ndarray, values: np.ndarray,
     return bool(np.abs(dots).max(initial=0.0) <= ORTHONORMALITY_TOL)
 
 
+def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors (Fortran-ordered columns) of the
+    symmetric tridiagonal bands (d, e), at least 2 rows, from LAPACK ``dstevd``.
+    Raises ``LinAlgError`` if ``dstevd`` reports a failure."""
+    from scipy.linalg import lapack  # loaded on the first LAPACK call
+    values, vectors, info = lapack.dstevd(d, e, compute_v=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd failed (info {info})")
+    return values, vectors
+
+
 def _solve_checked(d: np.ndarray, e: np.ndarray, h_max: float,
                    n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the symmetric tridiagonal bands (d, e), checked on the bands.
@@ -397,11 +446,9 @@ def _solve_checked(d: np.ndarray, e: np.ndarray, h_max: float,
         if d.size == 1:
             values, vectors = d.copy(), np.eye(1)
         else:
-            import scipy.linalg  # loaded on the first LAPACK call
-            values, vectors = scipy.linalg.eigh_tridiagonal(d, e)
-    except np.linalg.LinAlgError as exc:  # scipy.linalg's is the same class
-        raise NumericalError(f"eigendecompose: eigh_tridiagonal did not converge "
-                             f"(N={n})") from exc
+            values, vectors = _eigh_tridiagonal(d, e)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecompose: dstevd did not converge (N={n})") from exc
 
     vt = vectors.T
     large = d.size > RESIDUAL_TILE
@@ -433,8 +480,9 @@ def eigendecompose(h) -> EigenSystem:
 
     Returns ascending eigenvalues and orthonormal eigenvectors with a
     deterministic sign convention (first nonzero component positive). Raises
-    ``NumericalError`` if the underlying solver fails to converge or its
-    eigenpairs fail the orthonormality or residual check.
+    ``ValueError`` for an entry that is NaN or infinite, and
+    ``NumericalError`` if ``dstevd`` fails to converge or its eigenpairs fail
+    the orthonormality or residual check.
     """
     if isinstance(h, tuple):
         d, e = (np.asarray(band, dtype=float) for band in h)
@@ -445,15 +493,21 @@ def eigendecompose(h) -> EigenSystem:
         h = np.asarray(h, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or not h.size:
             raise ValueError(f"expected a non-empty square matrix, got shape {h.shape}")
+        if not np.isfinite(h).all():
+            raise ValueError("matrix entries must be finite")
         if np.triu(h, 2).any() or np.tril(h, -2).any():
             raise ValueError("matrix is not tridiagonal")
         d, e = np.diag(h), np.diag(h, 1)
         if np.abs(e - np.diag(h, -1)).max(initial=0.0) > 1e-12 * max(1.0, np.abs(h).max()):
             raise ValueError("matrix is not symmetric")
     n = d.size
-    h_max = max(np.abs(d).max(), np.abs(e).max(initial=0.0))
+    d_max, e_max = np.abs(d).max(), np.abs(e).max(initial=0.0)
+    # refused here: dstevd returns NaN eigenpairs with info 0 for infinite bands
+    if not (math.isfinite(d_max) and math.isfinite(e_max)):
+        raise ValueError("matrix entries must be finite")
+    h_max = max(d_max, e_max)
 
-    if n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1]):
+    if n > 1 and (d == d[::-1]).all() and (e == e[::-1]).all():
         (even_d, even_e), (odd_d, odd_e) = mirror_bands(d, e, n)
         even_values, even = _solve_checked(even_d, even_e, h_max, n)
         odd_values, odd = _solve_checked(odd_d, odd_e, h_max, n)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -199,7 +200,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each subcommand's
+    ``func`` is the ``cmd_*`` function bound when it was built."""
     parser = argparse.ArgumentParser(
         prog="spinchain",
         description="Spin-chain state-transfer toolkit",

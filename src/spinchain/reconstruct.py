@@ -36,7 +36,7 @@ CROSS_CHECK_TOL = 1e-8
 def _check_simple(lam: np.ndarray) -> float:
     """The spectral spread of ascending eigenvalues; raises if any repeat."""
     spread = lam[-1] - lam[0]
-    if np.diff(lam).min() <= 1e-12 * spread:
+    if (lam[1:] - lam[:-1]).min() <= 1e-12 * spread:
         raise ValueError("spectrum has (numerically) repeated eigenvalues; "
                          "reconstruction is undefined")
     return spread
@@ -169,7 +169,7 @@ def _reconstruct(s: Spectrum, sign_convention: str = "negative") -> tuple[ChainS
             f"reconstructed chain's spectrum misses the input by {miss:.3e} "
             f"(spectral spread {spread:.3e})"
         )
-    return ChainSpec(onsite=onsite.tolist(), couplings=couplings.tolist(),
+    return ChainSpec(onsite=onsite, couplings=couplings,
                      sign_convention=sign_convention), float(miss)
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import _float_tuple
+
 MAX_ODD_DIVISOR = 61  # candidate gap divisors 1, 3, ..., 61
 PST_TOL = 1e-9        # residual relative to the mean gap
 
@@ -33,7 +35,7 @@ class Spectrum:
     t_m: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        object.__setattr__(self, "values", _float_tuple(self.values))
         if len(self.values) < 2:
             raise ValueError("spectrum needs at least 2 eigenvalues")
         if not all(map(math.isfinite, self.values)):
@@ -46,7 +48,8 @@ class Spectrum:
         return len(self.values)
 
     def gaps(self) -> np.ndarray:
-        return np.diff(self.values)
+        values = np.array(self.values)
+        return values[1:] - values[:-1]
 
     def to_dict(self) -> dict:
         return {
@@ -89,9 +92,9 @@ def pinched_spectrum(ps: PinchSpec, shift: float = 0.0) -> Spectrum:
     p*pi/(2*alpha).
     """
     n, p, alpha = ps.n, ps.p, ps.alpha
-    values = [alpha * ((1 - n) + 2 * k) + shift for k in range(n - 1)]
-    values.append(values[-1] + 2.0 * alpha / p)
-    return Spectrum(values=tuple(values), spacing=2.0 * alpha, p=p,
+    values = alpha * np.arange(1 - n, n, 2, dtype=float) + shift
+    values[-1] = values[-2] + 2.0 * alpha / p
+    return Spectrum(values=values, spacing=2.0 * alpha, p=p,
                     t_m=p * np.pi / (2.0 * alpha))
 
 
@@ -115,7 +118,7 @@ def check_pst_condition(s: Spectrum, tol: float = PST_TOL) -> PstCheck:
     best-scoring assignment reported, with ``valid`` False.
     """
     gaps = s.gaps()
-    mean_gap = float(gaps.mean())
+    mean_gap = float(gaps.sum() / gaps.size)  # np.mean's arithmetic, without its dispatch
     g_min = float(gaps.min())
 
     best = None  # (residual, delta, q)
@@ -133,7 +136,7 @@ def check_pst_condition(s: Spectrum, tol: float = PST_TOL) -> PstCheck:
     return PstCheck(
         valid=residual <= tol,
         t_m=float(np.pi / delta),
-        q=tuple(int(v) for v in q),
+        q=tuple(q.tolist()),
         max_residual=residual,
         delta=delta,
     )
@@ -141,7 +144,9 @@ def check_pst_condition(s: Spectrum, tol: float = PST_TOL) -> PstCheck:
 
 def _pinched_offsets(n: int, p: int) -> np.ndarray:
     """Pinched levels over the base spacing: 0, 1, ..., n-2, then n-2+1/p."""
-    return np.append(np.arange(n - 1, dtype=float), n - 2 + 1.0 / p)
+    offsets = np.arange(n, dtype=float)
+    offsets[-1] = n - 2 + 1.0 / p
+    return offsets
 
 
 def _pinched_fit(values, p: int) -> tuple[float, float]:

@@ -55,7 +55,7 @@ def random_mirror_chain(rng, n, sign_convention="negative"):
 
 
 def scaled_eigenvectors(solve):
-    """A fake eigh_tridiagonal whose vectors are 1.1x the true ones."""
+    """A fake ``chain._eigh_tridiagonal`` whose vectors are 1.1x the true ones."""
     def fake(d, e):
         values, vectors = solve(d, e)
         return values, 1.1 * vectors

@@ -32,6 +32,7 @@ from spinchain.chain import (
     RESIDUAL_TILE,
     _banded_residual,
     band_values,
+    mirror_bands,
     mirror_spectra,
     mirror_values,
     tridiagonal,
@@ -57,14 +58,15 @@ def seed13_mirror_chains():
 
 
 def recorded_solver_sizes(monkeypatch):
-    """Patch eigh_tridiagonal to record the size of each matrix it solves."""
+    """Patch ``chain._eigh_tridiagonal`` (dstevd) to record the size of each
+    matrix it solves."""
     sizes = []
-    solve = scipy.linalg.eigh_tridiagonal
+    solve = spinchain.chain._eigh_tridiagonal
 
     def recording(d, e):
         sizes.append(len(d))
         return solve(d, e)
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+    monkeypatch.setattr(spinchain.chain, "_eigh_tridiagonal", recording)
     return sizes
 
 
@@ -137,6 +139,18 @@ def mirror_chains(draw, max_n=200, min_n=2):
     return ChainSpec(onsite=tuple(half_e + half_e[: n // 2][::-1]),
                      couplings=tuple(half_j + half_j[: (n - 1) // 2][::-1]),
                      sign_convention=convention)
+
+
+@st.composite
+def pinched_chains(draw, max_n=200):
+    """Chains reconstructed from pinched spectra, in either sign convention."""
+    n = draw(st.integers(2, max_n))
+    p = draw(st.sampled_from([1, 3, 5, 7, 9, 11, 13]))
+    alpha = draw(st.floats(0.1, 2.0))
+    shift = draw(st.floats(-5.0, 5.0))
+    convention = draw(st.sampled_from(["negative", "positive"]))
+    return reconstruct(pinched_spectrum(PinchSpec(n=n, p=p, alpha=alpha), shift=shift),
+                       sign_convention=convention)
 
 
 def hamiltonian_bands(chain):
@@ -311,6 +325,30 @@ class TestEigendecompose:
     def test_rejects_misshaped_bands(self, bands):
         with pytest.raises(ValueError, match="bands"):
             eigendecompose(bands)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("palindromic", [True, False])
+    def test_rejects_non_finite_entries(self, bad, where, palindromic):
+        # entry 1 and its mirror image, so an infinite palindrome stays one
+        rng = np.random.default_rng(8)
+        if palindromic:
+            d, e = (b.copy() for b in hamiltonian_bands(random_mirror_chain(rng, 7)))
+        else:
+            d, e = rng.uniform(-2.0, 2.0, 7), rng.uniform(0.2, 2.0, 6)
+        target = d if where == "diagonal" else e
+        target[1] = target[-2] = bad
+        for h in ((d, e), tridiagonal(d, e)):
+            with pytest.raises(ValueError):
+                eigendecompose(h)
+
+    def test_rejects_nan_in_the_lower_band_alone(self):
+        # a NaN fails the symmetry check's "> tol" comparison, so it passed
+        # that check; the bands the solver sees would not hold it
+        h = build_hamiltonian(random_mirror_chain(np.random.default_rng(8), 7))
+        h[2, 1] = np.nan
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            eigendecompose(h)
 
     def test_single_site_bands(self):
         es = eigendecompose((np.array([4.2]), np.array([])))
@@ -500,6 +538,41 @@ class TestMirrorSolves:
             tol = 1e-12 * np.maximum(1.0, spread / gaps)
             assert np.all(np.abs(w[row] - (es.vectors[0] * es.vectors[-1])[order]) <= tol)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(mirror_chains(), pinched_chains()))
+    def test_match_per_block_references(self, chain):
+        # LAPACK splits at the zero coupling between the blocks and solves
+        # each on its own, so the results are the per-block solves' bit for bit
+        n = chain.n
+        d, e = hamiltonian_bands(chain)
+        merged = np.sort(np.concatenate([bd if bd.size == 1 else lapack.dsterf(bd, be)[0]
+                                         for bd, be in mirror_bands(d, e, n)]))
+        assert mirror_values(d, e).tobytes() == merged.tobytes()
+
+        with pytest.MonkeyPatch.context() as patch:
+            sizes = recorded_solver_sizes(patch)
+            es = diagonalize_chain(chain)
+        # the even block, then the odd one; a block of one site needs no solve
+        assert sizes == [s for s in ((n + 1) // 2, n // 2) if s > 1]
+        values, vectors = solve_mirror_columns(d, e)
+        assert es.values.tobytes() == values.tobytes()
+        # read before vectors, which drops the blocks that end_weights is built from
+        assert es.end_weights.tobytes() == (vectors[0] * vectors[-1]).tobytes()
+        assert es.vectors.tobytes() == vectors.tobytes()
+
+    @pytest.mark.parametrize("failing, n", [((9, 5, 4), 5), ((9, 4), 4), ((9,), 9)])
+    def test_joint_dsterf_failure_names_the_failing_block(self, monkeypatch, failing, n):
+        # the two blocks (5 and 4 rows) are solved alone only after the joint
+        # 9-row call fails; the first that fails alone is named, else the joint call
+        dsterf = lapack.dsterf
+
+        def fake(d, e):
+            return (d.copy(), 1) if d.size in failing else dsterf(d, e)
+        monkeypatch.setattr(lapack, "dsterf", fake)
+        d, e = hamiltonian_bands(random_mirror_chain(np.random.default_rng(3), 9))
+        with pytest.raises(NumericalError, match=rf"dsterf did not converge \(info 1, N={n}\)"):
+            mirror_values(d, e)
+
     def test_dsterf_failure_raises(self, monkeypatch):
         monkeypatch.setattr(lapack, "dsterf", lambda d, e: (d.copy(), 1))
         d, e = hamiltonian_bands(random_mirror_chain(np.random.default_rng(3), 9))
@@ -532,7 +605,8 @@ def nan_vectors(solve):
 
 
 def swapped_columns(solve):
-    """A fake eigh_tridiagonal that swaps two eigenvectors: orthonormal but wrong."""
+    """A fake ``chain._eigh_tridiagonal`` that swaps two eigenvectors:
+    orthonormal but wrong."""
     def fake(d, e):
         values, vectors = solve(d, e)
         return values, vectors[:, [1, 0, *range(2, len(d))]]
@@ -592,7 +666,7 @@ class TestTiledResidual:
         rng = np.random.default_rng(5)
         chain = ChainSpec(onsite=tuple(rng.uniform(-2.0, 2.0, n)),
                           couplings=tuple(rng.uniform(0.2, 2.0, n - 1)))
-        solve = scipy.linalg.eigh_tridiagonal
+        solve = spinchain.chain._eigh_tridiagonal
 
         def fake(d, e):  # moves only the last eigenvalue
             values, vectors = solve(d, e)
@@ -602,7 +676,7 @@ class TestTiledResidual:
         values, vectors = fake(d, e)
         figure = untiled_residual(d, e, values, vectors.T)
         assert figure > 1e-4 or np.isnan(figure)
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fake)
+        monkeypatch.setattr(spinchain.chain, "_eigh_tridiagonal", fake)
         with pytest.raises(NumericalError) as info:
             diagonalize_chain(chain)
         assert str(info.value) == f"eigendecompose: eigenpair residual {figure:.3e} (N={n})"
@@ -621,8 +695,8 @@ class TestEigendecomposeFailures:
         # figures recorded from the column-layout residual; the row-layout one
         # runs the same operations in the same order
         chain = residual_chain(n)
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
-                            fake(scipy.linalg.eigh_tridiagonal))
+        monkeypatch.setattr(spinchain.chain, "_eigh_tridiagonal",
+                            fake(spinchain.chain._eigh_tridiagonal))
         with pytest.raises(NumericalError) as info:
             diagonalize_chain(chain)
         assert str(info.value) == "eigendecompose: " + message
@@ -634,8 +708,8 @@ class TestEigendecomposeFailures:
         (nan_vectors, "orthonormality error nan"),
     ])
     def test_short_message(self, monkeypatch, qpst_chain, fake, figure):
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
-                            fake(scipy.linalg.eigh_tridiagonal))
+        monkeypatch.setattr(spinchain.chain, "_eigh_tridiagonal",
+                            fake(spinchain.chain._eigh_tridiagonal))
         with pytest.raises(NumericalError) as info:
             diagonalize_chain(qpst_chain)
         msg = str(info.value)
@@ -650,7 +724,7 @@ def dense_gram_figure(vectors):
 
 
 def mixed_eigenvectors(delta, a, b):
-    """A fake eigh_tridiagonal adding delta * v_b to v_a, the indices taken
+    """A fake ``chain._eigh_tridiagonal`` adding delta * v_b to v_a, the indices taken
     modulo the block size."""
     def make(solve):
         def fake(d, e):
@@ -664,7 +738,7 @@ def mixed_eigenvectors(delta, a, b):
 
 
 def returning(fake):
-    """Wrap a fake eigh_tridiagonal; ``returned`` lists the vectors it gave."""
+    """Wrap a fake ``chain._eigh_tridiagonal``; ``returned`` lists the vectors it gave."""
     def wrapper(d, e):
         values, vectors = fake(d, e)
         wrapper.returned.append(vectors)
@@ -726,9 +800,9 @@ class TestGapOrthonormalityCheck:
            a=st.integers(0, 400), step=st.one_of(st.integers(1, 2), st.integers(3, 400)))
     def test_decision_matches_dense_product(self, chain, delta, a, step):
         # v_a mixed with a neighbour (step 1 or 2) or a distant vector
-        fake = returning(mixed_eigenvectors(delta, a, a + step)(scipy.linalg.eigh_tridiagonal))
+        fake = returning(mixed_eigenvectors(delta, a, a + step)(spinchain.chain._eigh_tridiagonal))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scipy.linalg, "eigh_tridiagonal", fake)
+            patch.setattr(spinchain.chain, "_eigh_tridiagonal", fake)
             try:
                 diagonalize_chain(chain)
                 message = ""
@@ -745,8 +819,8 @@ class TestGapOrthonormalityCheck:
     @pytest.mark.parametrize("n", [300, 511, 512])
     @pytest.mark.parametrize("make", [scaled_eigenvectors, nan_vectors])
     def test_broken_vectors_report_the_dense_figure(self, monkeypatch, n, make):
-        fake = returning(make(scipy.linalg.eigh_tridiagonal))
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fake)
+        fake = returning(make(spinchain.chain._eigh_tridiagonal))
+        monkeypatch.setattr(spinchain.chain, "_eigh_tridiagonal", fake)
         with pytest.raises(NumericalError) as info:
             diagonalize_chain(residual_chain(n))
         figure = dense_gram_figure(fake.returned[0])
@@ -757,8 +831,8 @@ class TestGapOrthonormalityCheck:
     def test_mixed_pair_fails_at_3e_10(self, monkeypatch, n, a, b):
         # (0, -1): the block's two ends, a full spectral width apart;
         # (130, 131): neighbours, whose pair the gap bound cannot clear
-        fake = returning(mixed_eigenvectors(3e-10, a, b)(scipy.linalg.eigh_tridiagonal))
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fake)
+        fake = returning(mixed_eigenvectors(3e-10, a, b)(spinchain.chain._eigh_tridiagonal))
+        monkeypatch.setattr(spinchain.chain, "_eigh_tridiagonal", fake)
         with pytest.raises(NumericalError) as info:
             diagonalize_chain(residual_chain(n))
         figure = dense_gram_figure(fake.returned[0])
@@ -768,15 +842,15 @@ class TestGapOrthonormalityCheck:
     @pytest.mark.parametrize("n", [300, 511, 512])
     @pytest.mark.parametrize("a, b", [(0, -1), (130, 131)])
     def test_mixed_pair_passes_at_3e_11(self, monkeypatch, n, a, b):
-        fake = returning(mixed_eigenvectors(3e-11, a, b)(scipy.linalg.eigh_tridiagonal))
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fake)
+        fake = returning(mixed_eigenvectors(3e-11, a, b)(spinchain.chain._eigh_tridiagonal))
+        monkeypatch.setattr(spinchain.chain, "_eigh_tridiagonal", fake)
         assert diagonalize_chain(residual_chain(n)).n == n  # both checks pass
         assert all(dense_gram_figure(v) <= ORTHONORMALITY_TOL for v in fake.returned)
 
     @pytest.mark.parametrize("n", [300, 511, 512])
     def test_neighbour_pair_is_dotted_explicitly(self, monkeypatch, n):
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
-                            mixed_eigenvectors(3e-11, 130, 131)(scipy.linalg.eigh_tridiagonal))
+        monkeypatch.setattr(spinchain.chain, "_eigh_tridiagonal",
+                            mixed_eigenvectors(3e-11, 130, 131)(spinchain.chain._eigh_tridiagonal))
         pairs = counted_pairs(monkeypatch)
         dense = dense_products(monkeypatch)
         diagonalize_chain(residual_chain(n))

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -229,8 +228,8 @@ class TestSimulate:
         assert not out.exists()
 
     def test_numerical_failure_exit_3(self, tmp_path, chain_file, monkeypatch, capsys):
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
-                            scaled_eigenvectors(scipy.linalg.eigh_tridiagonal))
+        monkeypatch.setattr(spinchain.chain, "_eigh_tridiagonal",
+                            scaled_eigenvectors(spinchain.chain._eigh_tridiagonal))
         assert main(["simulate", str(chain_file), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and "N=5" in err
@@ -455,7 +454,7 @@ class TestAnalyze:
         def refuse(*args, **kwargs):
             raise AssertionError("analyze solved for eigenvectors")
         monkeypatch.setattr(spinchain.chain, "eigendecompose", refuse)
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+        monkeypatch.setattr(spinchain.chain, "_eigh_tridiagonal", refuse)
         code, report, _ = self.analyze(tmp_path, 85, 3)
         assert code == 0
         assert json.loads(report)["nodes"] == list(range(85))
