@@ -107,8 +107,9 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     if args.pinched is not None:
         n, p, alpha = args.pinched
-        spectrum = pinched_spectrum(PinchSpec(n=int(n), p=int(p), alpha=alpha),
-                                    shift=args.shift)
+        # integral N and P become ints; PinchSpec refuses any other float
+        n, p = (int(v) if v.is_integer() else v for v in (n, p))
+        spectrum = pinched_spectrum(PinchSpec(n=n, p=p, alpha=alpha), shift=args.shift)
         inputs = []
     else:
         if args.spectrum is None:

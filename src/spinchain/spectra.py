@@ -76,12 +76,16 @@ class PinchSpec:
     alpha: float
 
     def __post_init__(self):
+        for name in ("n", "p"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError("need at least 2 levels")
         if self.p < 1 or self.p % 2 == 0:
             raise ValueError(f"pinch p must be a positive odd integer, got {self.p}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 def pinched_spectrum(ps: PinchSpec, shift: float = 0.0) -> Spectrum:

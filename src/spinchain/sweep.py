@@ -58,12 +58,18 @@ def deviation_sweep(n_range, p_set, alpha: float = 0.5) -> list[SweepPoint]:
 
     Failed reconstructions yield a point with NaN statistics and an error
     message; the sweep always completes. Points come back sorted by (n, p).
+    An even or non-positive p, or an alpha that is not positive and finite,
+    raises ``ValueError`` before any point runs.
     """
+    p_values = sorted(set(int(v) for v in p_set))
+    for p in p_values:
+        if p < 1 or p % 2 == 0:
+            raise ValueError(f"pinch values must be positive odd, got {p}")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     points = []
     for n in sorted(set(int(v) for v in n_range)):
-        for p in sorted(set(int(v) for v in p_set)):
-            if p < 1 or p % 2 == 0:
-                raise ValueError(f"pinch values must be positive odd, got {p}")
+        for p in p_values:
             try:
                 spectrum = pinched_spectrum(PinchSpec(n=n, p=p, alpha=alpha))
                 chain, miss = _reconstruct(spectrum)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_hermite
 
 from spinchain import (
     ChainSpec,
@@ -27,6 +28,7 @@ from spinchain.analogue import (
     schrodinger_residual,
     shifted_values,
 )
+from spinchain.chain import _bands, band_values
 
 from conftest import random_mirror_chain, uniform_chain
 
@@ -288,6 +290,30 @@ class TestDiagnosticsReport:
         assert len(report["x_pairs"]) == 512 and report["zero_mode"] is False
         assert peak <= 32 * 2**20
         assert "vectors" not in vars(es)        # the N x N matrix is never assembled
+
+    @staticmethod
+    def hermite_miss(n, gamma):
+        """Largest distance of the p = 1 report's x_pairs, plus 0 for odd N's
+        zero mode, from the Gauss-Hermite nodes sqrt(gamma/2) * roots of H_N,
+        over max |x|. For p = 1, X = (a + a_dag)/2 is the Hermite Jacobi
+        matrix scaled by sqrt(gamma/2) (Golub & Welsch 1969)."""
+        chain = christandl_chain(n, gamma / 2)  # equidistant, level spacing gamma
+        es = EigenSystem(band_values(*_bands(chain)), None)
+        report = diagnostics_report(chain, es, p=1, gamma=gamma)
+        assert report["zero_mode"] is (n % 2 == 1)
+        lower, upper = zip(*report["x_pairs"])
+        x = np.array([*lower, *[0.0] * (n % 2), *upper[::-1]])
+        nodes = np.sqrt(gamma / 2) * roots_hermite(n)[0]
+        return np.abs(x - nodes).max() / np.abs(nodes).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 512), gamma=st.floats(0.1, 10.0))
+    def test_p1_x_pairs_are_gauss_hermite_nodes(self, n, gamma):
+        assert self.hermite_miss(n, gamma) <= 1e-13
+
+    @pytest.mark.parametrize("gamma", [0.37, 1.0, 2.5])
+    def test_p1_x_pairs_are_gauss_hermite_nodes_at_2048(self, gamma):
+        assert self.hermite_miss(2048, gamma) <= 1e-13
 
     @pytest.mark.parametrize("n", [89, 100])
     def test_nodes_past_eigenvector_cutoff(self, n):

@@ -276,6 +276,31 @@ class TestReconstruct:
     def test_no_input_exit_2(self, tmp_path):
         assert main(["reconstruct", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("pinched, message", [
+        (("4.9", "3.7", "0.5"), "n must be an integer, got 4.9"),
+        (("5", "3.7", "0.5"), "p must be an integer, got 3.7"),
+        (("nan", "3", "0.5"), "n must be an integer, got nan"),
+        (("5", "inf", "0.5"), "p must be an integer, got inf"),
+        (("5", "3", "inf"), "alpha must be positive and finite, got inf"),
+        (("5", "3", "nan"), "alpha must be positive and finite, got nan"),
+        (("5", "3", "0"), "alpha must be positive and finite, got 0.0"),
+    ])
+    def test_bad_pinched_exit_2(self, tmp_path, capsys, pinched, message):
+        # truncating would build another chain than the one asked for (4.9 3.7: N = 4, p = 3)
+        out = tmp_path / "o"
+        assert main(["reconstruct", "--pinched", *pinched, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_integral_float_pinched(self, tmp_path):
+        # 5.0 and 3.0 are the integers 5 and 3: the same chain, byte for byte
+        out_int, out_float = tmp_path / "int", tmp_path / "float"
+        assert main(["reconstruct", "--pinched", "5", "3", "0.5", "--out", str(out_int)]) == 0
+        assert main(["reconstruct", "--pinched", "5.0", "3.0", "0.5",
+                     "--out", str(out_float)]) == 0
+        assert (out_float / "chain.json").read_bytes() == (out_int / "chain.json").read_bytes()
+        assert read_json(out_float / "manifest.json")["parameters"]["pinched"] == [5.0, 3.0, 0.5]
+
     @pytest.mark.parametrize("convention", ["negative", "positive"])
     def test_reconstructs_once(self, tmp_path, monkeypatch, capsys, convention):
         # stdout and chain.json as reconstruct(..., convention) followed by a
@@ -489,6 +514,16 @@ class TestSweep:
     def test_even_p_exit_2(self, tmp_path):
         assert main(["sweep", "--n-max", "6", "--p-list", "2",
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+    def test_bad_alpha_exit_2(self, tmp_path, capsys, alpha):
+        # refused before any point runs, not reported as a sweep of nan rows that exits 0
+        out = tmp_path / "o"
+        assert main(["sweep", "--n-max", "5", "--alpha", alpha, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: alpha must be positive and finite, got {float(alpha)}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_version_flag(capsys):

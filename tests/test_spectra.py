@@ -78,6 +78,24 @@ class TestPinchedSpectrum:
         with pytest.raises(ValueError):
             PinchSpec(n=5, p=2, alpha=0.5)
 
+    @pytest.mark.parametrize("n, p", [(np.int64(5), np.int32(3)), (np.int16(4), 1)])
+    def test_numpy_integers_accepted(self, n, p):
+        assert pinched_spectrum(PinchSpec(n=n, p=p, alpha=0.5)).values == \
+            pinched_spectrum(PinchSpec(n=int(n), p=int(p), alpha=0.5)).values
+
+    @pytest.mark.parametrize("field, n, p", [("n", 4.9, 3), ("p", 5, 3.7), ("n", 5.0, 3),
+                                             ("p", 5, 3.0), ("n", True, 3), ("p", 5, True),
+                                             ("n", np.float64(5.0), 3)])
+    def test_non_integer_n_p_rejected(self, field, n, p):
+        # truncating 4.9 to 4 would build another chain than the one asked for
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            PinchSpec(n=n, p=p, alpha=0.5)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_alpha_not_positive_finite_rejected(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be positive and finite, got "):
+            PinchSpec(n=5, p=3, alpha=alpha)
+
 
 class TestPstCondition:
     def test_pinched_example(self):

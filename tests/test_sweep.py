@@ -114,6 +114,23 @@ class TestDeviationSweep:
         with pytest.raises(ValueError):
             deviation_sweep(range(4, 6), (2,))
 
+    @pytest.mark.parametrize("p_set, alpha, message", [
+        ((3,), 0.0, "alpha must be positive and finite, got 0.0"),
+        ((3,), -1.0, "alpha must be positive and finite, got -1.0"),
+        ((3,), float("nan"), "alpha must be positive and finite, got nan"),
+        ((3,), float("inf"), "alpha must be positive and finite, got inf"),
+        ((3, 4), 0.5, "pinch values must be positive odd, got 4"),
+    ])
+    def test_rejects_before_any_point(self, monkeypatch, p_set, alpha, message):
+        # both are checked once, before the loop: no point of a sweep that
+        # must fail is computed
+        calls = []
+        monkeypatch.setattr(sweep, "_reconstruct", calls.append)
+        with pytest.raises(ValueError) as info:
+            deviation_sweep(range(4, 8), p_set, alpha=alpha)
+        assert str(info.value) == message
+        assert calls == []
+
     def test_scale_covariance(self):
         base = deviation_sweep((8,), (5,), alpha=0.5)[0]
         scaled = deviation_sweep((8,), (5,), alpha=1.5)[0]
