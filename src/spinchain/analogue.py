@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, EigenSystem, band_values
+from .errors import odd_pinch
 from .spectra import _pinched_offsets
 
 UNIFORM_TOL = 1e-9
@@ -139,8 +140,7 @@ def build_ladder(es: EigenSystem, p: int, gamma: float) -> LadderPair:
     n-2+1/p) within 1e-6, then builds the raising operator with the
     sqrt(k+1) ladder amplitudes and the sqrt(n-2+1/p) top-step correction.
     """
-    if p < 1 or p % 2 == 0:
-        raise ValueError(f"pinch p must be a positive odd integer, got {p}")
+    p = odd_pinch(p)
     if not 0.0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     n = es.n
@@ -153,7 +153,7 @@ def build_ladder(es: EigenSystem, p: int, gamma: float) -> LadderPair:
         )
     sub = np.sqrt(gamma) * np.sqrt(np.arange(1, n, dtype=float))
     sub[n - 2] = np.sqrt(gamma) * np.sqrt(n - 2 + 1.0 / p)
-    return LadderPair(sub=sub, gamma=float(gamma), p=int(p))
+    return LadderPair(sub=sub, gamma=float(gamma), p=p)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, integer
 
 SIGN_CONVENTIONS = ("negative", "positive")
 
@@ -123,9 +123,10 @@ class ChainSpec:
                 couplings=tuple(d["couplings"]),
                 sign_convention=d.get("sign_convention", "negative"),
             )
+            n = integer("n", d.get("n", spec.n))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed chain object: {exc}") from exc
-        if "n" in d and int(d["n"]) != spec.n:
+        if n != spec.n:
             raise ValueError(f"declared n={d['n']} but {spec.n} on-site energies given")
         return spec
 

@@ -4,7 +4,7 @@ Evolution is done in the eigenbasis: the amplitude on site j after time t is
 sum_k phi_k(j) exp(-i lambda_k t) phi_k(start), with hbar = 1. Fidelity
 traces are sampled on the dimensionless axis t*J_max so windows are
 comparable across chains. ``fidelity_grid`` is the one grid kernel, shared by
-``trace`` and the GA fitness (``ga._evaluate_block``). The end-to-end
+``trace`` and the GA's ``evolve`` (``ga._grid_stage``). The end-to-end
 amplitude needs only the spectrum and the end weights V[0, k] * V[N-1, k]:
 ``trace`` and ``transition_amplitude`` read ``EigenSystem.end_weights`` and
 nothing else, so a trace never assembles the N x N eigenvector matrix.
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import EigenSystem
+from .errors import integer
 
 PEAK_FLOOR = 0.5
 SAMPLES_PER_UNIT = 200  # default trace density: 10,000 samples per 50-unit window
@@ -182,7 +183,7 @@ def trace(es: EigenSystem, window: float = 50.0, samples: int | None = None,
         raise ValueError(f"window must be positive and finite, got {window}")
     if samples is None:
         samples = max(2, int(round(SAMPLES_PER_UNIT * window))) + 1
-    if samples < 2:
+    if integer("samples", samples) < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
 
     x = np.linspace(0.0, window, samples)

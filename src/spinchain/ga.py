@@ -21,6 +21,7 @@ import numpy as np
 
 from .chain import ChainSpec, mirror_spectra
 from .dynamics import fidelity_grid
+from .errors import integer, odd_pinch
 from .spectra import Spectrum
 
 FITNESS_GRID_CHUNK = 32  # a 32-genome amp block (~1 MB at 2001 samples) stays in L2
@@ -55,9 +56,7 @@ class GAConfig:
 
     def __post_init__(self):
         for name in ("n", "p", "generations", "population", "samples", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         for name in ("a", "b", "coupling", "mutation_width_frac"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -68,8 +67,7 @@ class GAConfig:
             raise ValueError("mutation_width_frac must be nonnegative")
         if self.n < 4:
             raise ValueError("GA spectral penalty needs at least 4 sites")
-        if self.p < 1 or self.p % 2 == 0:
-            raise ValueError(f"pinch p must be a positive odd integer, got {self.p}")
+        odd_pinch(self.p)
         if self.generations < 0:
             raise ValueError("generations must be nonnegative")
         if self.population < 2 or self.population % 2 != 0:

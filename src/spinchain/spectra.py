@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import _float_tuple
+from .errors import integer, odd_pinch
 
 MAX_ODD_DIVISOR = 61  # candidate gap divisors 1, 3, ..., 61
 PST_TOL = 1e-9        # residual relative to the mean gap
@@ -61,10 +62,9 @@ class Spectrum:
     @classmethod
     def from_dict(cls, d: dict) -> "Spectrum":
         try:
-            values = tuple(d["values"])
+            return cls(values=tuple(d["values"]), p=d.get("p"), t_m=d.get("t_m"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed spectrum object: {exc}") from exc
-        return cls(values=values, p=d.get("p"), t_m=d.get("t_m"))
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,10 @@ class PinchSpec:
 
     def __post_init__(self):
         for name in ("n", "p"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.n < 2:
             raise ValueError("need at least 2 levels")
-        if self.p < 1 or self.p % 2 == 0:
-            raise ValueError(f"pinch p must be a positive odd integer, got {self.p}")
+        odd_pinch(self.p)
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
@@ -155,9 +152,7 @@ def _pinched_offsets(n: int, p: int) -> np.ndarray:
 
 def _pinched_fit(values, p: int) -> tuple[float, float]:
     """Least-squares ``(lam0, gamma)`` of lam = lam0 + gamma * ``_pinched_offsets(n, p)``."""
-    if p < 1 or p % 2 == 0:
-        raise ValueError(f"pinch p must be a positive odd integer, got {p}")
-    k = _pinched_offsets(len(values), p)
+    k = _pinched_offsets(len(values), odd_pinch(p))
     design = np.column_stack([np.ones(k.size), k])
     (lam0, gamma), *_ = np.linalg.lstsq(design, np.asarray(values), rcond=None)
     if gamma <= 0:
@@ -170,6 +165,7 @@ def snap_to_pst(s: Spectrum, p: int) -> Spectrum:
     (``_pinched_fit``); the result satisfies the PST condition to machine precision."""
     if s.n < 3:
         raise ValueError("snapping needs at least 3 eigenvalues")
+    p = odd_pinch(p)
     lam0, gamma = _pinched_fit(s.values, p)
     snapped = lam0 + gamma * _pinched_offsets(s.n, p)
     return Spectrum(values=tuple(snapped), spacing=gamma, p=p,

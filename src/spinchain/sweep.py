@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
+from .errors import integer, odd_pinch
 from .reconstruct import _reconstruct
 from .spectra import PinchSpec, pinched_spectrum
 
@@ -58,17 +59,16 @@ def deviation_sweep(n_range, p_set, alpha: float = 0.5) -> list[SweepPoint]:
 
     Failed reconstructions yield a point with NaN statistics and an error
     message; the sweep always completes. Points come back sorted by (n, p).
-    An even or non-positive p, or an alpha that is not positive and finite,
-    raises ``ValueError`` before any point runs.
+    An n or p that is not an integer, a p that is not positive and odd, or an
+    alpha that is not positive and finite raises ``ValueError`` before any
+    point runs.
     """
-    p_values = sorted(set(int(v) for v in p_set))
-    for p in p_values:
-        if p < 1 or p % 2 == 0:
-            raise ValueError(f"pinch values must be positive odd, got {p}")
+    p_values = sorted(set(map(odd_pinch, p_set)))
     if not 0.0 < alpha < np.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    n_values = sorted(set(integer("n", v) for v in n_range))
     points = []
-    for n in sorted(set(int(v) for v in n_range)):
+    for n in n_values:
         for p in p_values:
             try:
                 spectrum = pinched_spectrum(PinchSpec(n=n, p=p, alpha=alpha))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
@@ -314,6 +314,55 @@ class TestDiagnosticsReport:
     @pytest.mark.parametrize("gamma", [0.37, 1.0, 2.5])
     def test_p1_x_pairs_are_gauss_hermite_nodes_at_2048(self, gamma):
         assert self.hermite_miss(2048, gamma) <= 1e-13
+
+    @staticmethod
+    def sturm_values(sub):
+        """Ascending eigenvalues of the zero-diagonal band with off-diagonals
+        ``sub``, each bisected on Sturm counts: the number of negative pivots
+        q_i = -x - sub[i-1]^2 / q_(i-1) of X - x is the number of eigenvalues
+        below x. The pivots are ratios of successive characteristic
+        polynomials, so they stay finite where the polynomials overflow."""
+        squares = np.square(sub)
+        tiny = np.finfo(float).tiny * squares.max()
+        k = np.arange(sub.size + 1)
+        hi = np.full(k.size, 2.0 * np.abs(sub).max())  # Gershgorin
+        lo = -hi
+        for _ in range(64):
+            x = 0.5 * (lo + hi)
+            q = np.where(np.abs(x) < tiny, -tiny, -x)  # a zero pivot counts as negative
+            below = (q < 0).astype(int)
+            for b2 in squares:
+                q = -x - b2 / q
+                q[np.abs(q) < tiny] = -tiny
+                below += q < 0
+            kth_below = below > k  # the k-th eigenvalue lies below x
+            hi = np.where(kth_below, x, hi)
+            lo = np.where(kth_below, lo, x)
+        return 0.5 * (lo + hi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 200), p=st.sampled_from([3, 9, 13]),
+           gamma=st.floats(0.1, 10.0))
+    @example(n=200, p=3, gamma=10.0)
+    @example(n=199, p=13, gamma=0.1)
+    def test_pinched_x_pairs_match_sturm_bisection(self, n, p, gamma):
+        # for p != 1, X's characteristic polynomial is the Hermite recurrence
+        # with its last coefficient gamma * (N - 2 + 1/p) / 4 (ROADMAP item 8);
+        # at N = 200 and gamma = 10 that recurrence overflows at the top of X's
+        # range. Measured miss: at most 8.1e-15 of max |x|
+        chain = reconstruct(pinched_spectrum(PinchSpec(n=n, p=p, alpha=gamma / 2)))
+        es = EigenSystem(band_values(*_bands(chain)), None)
+        report = diagnostics_report(chain, es, p=p, gamma=gamma)
+        sub = 0.5 * np.sqrt(gamma * np.arange(1.0, n))
+        sub[-1] = 0.5 * np.sqrt(gamma * (n - 2 + 1.0 / p))
+        nodes = self.sturm_values(sub)
+        scale = np.abs(nodes).max()
+        assert report["zero_mode"] is (n % 2 == 1)
+        if n % 2:
+            assert abs(nodes[n // 2]) <= 1e-13 * scale
+        lower, upper = zip(*report["x_pairs"])
+        x = np.array([*lower, *[0.0] * (n % 2), *upper[::-1]])
+        assert np.abs(x - nodes).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("n", [89, 100])
     def test_nodes_past_eigenvector_cutoff(self, n):

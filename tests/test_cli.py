@@ -1,9 +1,11 @@
 """CLI surface: subcommands, file formats, exit codes, reproducibility."""
 
 import importlib
+import io
 import json
 import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from spinchain import (
     ChainSpec,
     GAConfig,
     PinchSpec,
+    Spectrum,
     christandl_chain,
     diagonalize_chain,
     evolve,
@@ -28,7 +31,7 @@ from spinchain import (
 )
 from spinchain.cli import CSV_BLOCK_ROWS, _write_rows, main
 
-from conftest import scaled_eigenvectors
+from conftest import PST5_VALUES, scaled_eigenvectors
 
 QPST_CHAIN = {
     "n": 5,
@@ -524,6 +527,57 @@ class TestSweep:
         assert captured.err == f"error: alpha must be positive and finite, got {float(alpha)}\n"
         assert captured.out == ""
         assert not out.exists()
+
+
+DROP, NESTED = object(), object()
+# a valid input file per reader, the commands that read it, and every field of
+# it set to null, a string, a bool, a float or a nested list, or dropped
+VALID_INPUTS = {
+    "chain": (ChainSpec.from_dict, reconstruct(Spectrum(values=PST5_VALUES)).to_dict(),
+              [["simulate", "--window", "5"], ["analyze"]]),
+    "spectrum": (Spectrum.from_dict, {"values": list(PST5_VALUES), "p": 3, "t_m": 4.71238898},
+                 [["reconstruct"], ["snap", "--p", "3"]]),
+    "ga": (GAConfig.from_dict, GAConfig(n=4, p=3, generations=1, population=4,
+                                        samples=21, window=5.0, seed=2).to_dict(),
+           [["optimize"]]),
+}
+FIELDS = [(kind, field) for kind, (_, obj, _) in VALID_INPUTS.items() for field in obj]
+MUTATIONS = [None, "5", "x", True, False, 2.5, -1.0, NESTED, DROP]
+
+
+class TestExitContract:
+    @settings(max_examples=200, deadline=None)
+    @given(target=st.sampled_from(FIELDS), value=st.sampled_from(MUTATIONS))
+    @example(target=("chain", "n"), value=None)
+    @example(target=("chain", "n"), value=NESTED)
+    @example(target=("spectrum", "values"), value=NESTED)
+    def test_one_mutated_field(self, target, value):
+        # exit 0 if the reader still takes the file, else 2 with one error line
+        kind, field = target
+        reader, obj, commands = VALID_INPUTS[kind]
+        obj = dict(obj)
+        if value is DROP:
+            del obj[field]
+        else:
+            obj[field] = [[obj[field]]] if value is NESTED else value
+        try:
+            reader(obj)
+            expected = 0
+        except ValueError:
+            expected = 2
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(obj))
+            for command, *flags in commands:
+                err = io.StringIO()
+                with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                    code = main([command, str(path), *flags, "--out", str(Path(tmp) / "o")])
+                lines = err.getvalue().splitlines()
+                assert code == expected, (command, obj, lines)
+                if code:
+                    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+                else:
+                    assert lines == []
 
 
 def test_version_flag(capsys):

@@ -119,7 +119,7 @@ class TestDeviationSweep:
         ((3,), -1.0, "alpha must be positive and finite, got -1.0"),
         ((3,), float("nan"), "alpha must be positive and finite, got nan"),
         ((3,), float("inf"), "alpha must be positive and finite, got inf"),
-        ((3, 4), 0.5, "pinch values must be positive odd, got 4"),
+        ((3, 4), 0.5, "pinch p must be a positive odd integer, got 4"),
     ])
     def test_rejects_before_any_point(self, monkeypatch, p_set, alpha, message):
         # both are checked once, before the loop: no point of a sweep that
