@@ -27,7 +27,7 @@ from .dynamics import (
 )
 from .errors import NumericalError
 from .ga import GAConfig, GAIndividual, GAReport, evolve, fitness, mutation_rate, q_factor, sigma_lambda
-from .reconstruct import compute_weights, polynomial_table, reconstruct, roundtrip_error
+from .reconstruct import compute_weights, polynomial_table, reconstruct, reconstruct_with_error, roundtrip_error
 from .spectra import (
     PinchSpec,
     PstCheck,
@@ -49,7 +49,8 @@ __all__ = [
     "NumericalError",
     "GAConfig", "GAIndividual", "GAReport", "evolve", "fitness", "mutation_rate",
     "q_factor", "sigma_lambda",
-    "compute_weights", "polynomial_table", "reconstruct", "roundtrip_error",
+    "compute_weights", "polynomial_table", "reconstruct", "reconstruct_with_error",
+    "roundtrip_error",
     "PinchSpec", "PstCheck", "Spectrum", "check_pst_condition", "pinched_spectrum",
     "snap_to_pst", "spectral_symmetry_check",
     "christandl_chain", "coupling_statistics", "deviation_sweep",

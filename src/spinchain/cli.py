@@ -9,7 +9,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -22,7 +21,7 @@ from .chain import ChainSpec, EigenSystem, _bands, band_values, diagonalize_chai
 from .dynamics import revival_peaks, trace
 from .errors import NumericalError
 from .ga import GAConfig, evolve
-from .reconstruct import _reconstruct
+from .reconstruct import reconstruct_with_error
 from .spectra import PinchSpec, Spectrum, _pinched_fit, infer_pinch, pinched_spectrum, snap_to_pst
 from .sweep import deviation_sweep
 from .analogue import diagnostics_report
@@ -117,10 +116,7 @@ def cmd_reconstruct(args) -> int:
         spectrum = Spectrum.from_dict(_load_json(args.spectrum))
         inputs = [args.spectrum]
 
-    # the negative convention, as in roundtrip_error; its cross-check's miss
-    # is the roundtrip figure, so the rebuilt chain is solved once
-    chain, err = _reconstruct(spectrum)
-    chain = dataclasses.replace(chain, sign_convention=args.convention)
+    chain, err = reconstruct_with_error(spectrum, args.convention)
 
     out = _out_dir(args)
     _write_json(out / "chain.json", chain.to_dict())

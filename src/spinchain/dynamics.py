@@ -32,6 +32,7 @@ def propagate(es: EigenSystem, initial_site: int, t: float) -> np.ndarray:
     """Complex site amplitudes at time t for an excitation starting on one site."""
     if not 0.0 <= t < np.inf:
         raise ValueError(f"time must be nonnegative and finite, got {t}")
+    initial_site = integer("initial_site", initial_site)
     if not 0 <= initial_site < es.n:
         raise ValueError(f"initial_site {initial_site} out of range for n={es.n}")
     weights = es.vectors[initial_site, :] * np.exp(-1j * es.values * t)

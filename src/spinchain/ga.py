@@ -57,10 +57,11 @@ class GAConfig:
     def __post_init__(self):
         for name in ("n", "p", "generations", "population", "samples", "seed"):
             object.__setattr__(self, name, integer(name, getattr(self, name)))
-        for name in ("a", "b", "coupling", "mutation_width_frac"):
+        for name in ("mu_i", "mu_f", "a", "b", "coupling", "mutation_width_frac"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        object.__setattr__(self, "bounds", tuple(self.bounds))
         if len(self.bounds) != 2 or not all(map(math.isfinite, self.bounds)):
             raise ValueError(f"bounds must be a finite pair, got {self.bounds!r}")
         if self.mutation_width_frac < 0:
@@ -95,10 +96,7 @@ class GAConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "GAConfig":
         try:
-            kwargs = dict(d)
-            if "bounds" in kwargs:
-                kwargs["bounds"] = tuple(kwargs["bounds"])
-            return cls(**kwargs)
+            return cls(**dict(d))
         except TypeError as exc:
             raise ValueError(f"malformed GA config: {exc}") from exc
 

@@ -13,8 +13,9 @@ are well conditioned, unlike the end-site weights
 w_k = prod_{j!=k} 1/|lam_k - lam_j|, which span ~2^(N/2) and overflow for
 long chains. Every result is checked against its input spectrum with
 values-only solves of its two blocks (``chain.mirror_values``, LAPACK
-``dsterf``), and ``roundtrip_error`` reports the miss of that same
-instrument: no eigenvector is computed on the inverse path.
+``dsterf``). ``reconstruct_with_error`` returns the chain with the miss of
+that check, in one reconstruction; ``reconstruct`` and ``roundtrip_error``
+return one of the two. No eigenvector is computed on the inverse path.
 
 The end-site weights remain the diagnostic inner product: ``polynomial_table``
 reads its orthogonal polynomials off the reconstructed chain's eigenvectors.
@@ -112,8 +113,9 @@ def _centre_weights(lam: np.ndarray) -> np.ndarray:
     return c
 
 
-def reconstruct(s: Spectrum, sign_convention: str = "negative") -> ChainSpec:
-    """The unique persymmetric chain whose Hamiltonian has this spectrum.
+def reconstruct_with_error(s: Spectrum,
+                           sign_convention: str = "negative") -> tuple[ChainSpec, float]:
+    """The unique persymmetric chain with this spectrum, and its roundtrip error.
 
     The chain is built from its centre out: the centre-site weights of the
     even mirror block come from the interlaced spectra lam[0::2] (even) and
@@ -122,17 +124,11 @@ def reconstruct(s: Spectrum, sign_convention: str = "negative") -> ChainSpec:
     over sqrt(2); even N: the centre coupling (sum(nu) - sum(mu))/2 added
     back to its last site) and mirrored.
 
+    The error is max |input eigenvalue - chain eigenvalue| from values-only
+    solves of the chain's two mirror blocks, the same in either convention.
     Raises ``ValueError`` for repeated eigenvalues and ``NumericalError``
-    when the spectrum of the result, from values-only solves of its two
-    mirror blocks, misses the input by more than CROSS_CHECK_TOL * spread.
+    when the error exceeds CROSS_CHECK_TOL * spread.
     """
-    return _reconstruct(s, sign_convention)[0]
-
-
-def _reconstruct(s: Spectrum, sign_convention: str = "negative") -> tuple[ChainSpec, float]:
-    """``reconstruct`` and its cross-check's miss, max |input - chain eigenvalue|
-    from values-only solves of the result's two mirror blocks (the figure
-    ``roundtrip_error`` and ``spinchain reconstruct`` report)."""
     lam = np.asarray(s.values, dtype=float)
     n = lam.size
     spread = _check_simple(lam)
@@ -173,11 +169,15 @@ def _reconstruct(s: Spectrum, sign_convention: str = "negative") -> tuple[ChainS
                      sign_convention=sign_convention), float(miss)
 
 
+def reconstruct(s: Spectrum, sign_convention: str = "negative") -> ChainSpec:
+    """The chain of ``reconstruct_with_error``, without its error."""
+    return reconstruct_with_error(s, sign_convention)[0]
+
+
 def roundtrip_error(s: Spectrum) -> float:
     """Max |input eigenvalue - eigenvalue of the reconstructed chain|.
 
-    The chain's spectrum comes from values-only solves of its two mirror
-    blocks, the instrument ``reconstruct`` checks itself with: its own
-    cross-check's figure, so the chain is solved once.
+    This runs a full reconstruction; a caller that needs the chain as well
+    takes both from one ``reconstruct_with_error`` call.
     """
-    return _reconstruct(s)[1]
+    return reconstruct_with_error(s)[1]

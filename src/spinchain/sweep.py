@@ -14,7 +14,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import integer, odd_pinch
-from .reconstruct import _reconstruct
+from .reconstruct import reconstruct_with_error
 from .spectra import PinchSpec, pinched_spectrum
 
 
@@ -44,6 +44,7 @@ def coupling_statistics(spec: ChainSpec) -> dict:
 
 def christandl_chain(n: int, j0: float, sign_convention: str = "negative") -> ChainSpec:
     """The engineered-coupling PST chain J_i = j0*sqrt(i*(n-i)), zero on-site."""
+    n = integer("n", n)
     if n < 2:
         raise ValueError("need at least 2 sites")
     if j0 <= 0:
@@ -72,7 +73,7 @@ def deviation_sweep(n_range, p_set, alpha: float = 0.5) -> list[SweepPoint]:
         for p in p_values:
             try:
                 spectrum = pinched_spectrum(PinchSpec(n=n, p=p, alpha=alpha))
-                chain, miss = _reconstruct(spectrum)
+                chain, miss = reconstruct_with_error(spectrum)
                 stats = coupling_statistics(chain)
                 points.append(SweepPoint(
                     n=n, p=p,

@@ -312,7 +312,7 @@ class TestReconstruct:
         chain = reconstruct(spectrum, sign_convention=convention)
         err = roundtrip_error(spectrum)
         module = importlib.import_module("spinchain.reconstruct")
-        solve = module._reconstruct
+        solve = module.reconstruct_with_error
         calls = []
 
         def counted(*args, **kwargs):
@@ -320,8 +320,8 @@ class TestReconstruct:
             return solve(*args, **kwargs)
 
         # the CLI's own name and the one reconstruct and roundtrip_error call
-        monkeypatch.setattr(spinchain.cli, "_reconstruct", counted)
-        monkeypatch.setattr(module, "_reconstruct", counted)
+        monkeypatch.setattr(spinchain.cli, "reconstruct_with_error", counted)
+        monkeypatch.setattr(module, "reconstruct_with_error", counted)
         out = tmp_path / "rec"
         assert main(["reconstruct", "--pinched", "41", "5", "0.5", "--shift", "-1.3",
                      "--convention", convention, "--out", str(out)]) == 0

@@ -423,7 +423,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             small_config(**{field: cast(value)})
 
-    @pytest.mark.parametrize("field", ["a", "b", "coupling", "mutation_width_frac"])
+    @pytest.mark.parametrize("field", ["mu_i", "mu_f", "a", "b", "coupling",
+                                       "mutation_width_frac"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_real_fields_need_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -434,6 +435,14 @@ class TestConfigValidation:
     def test_bounds_need_finite_pair(self, bounds):
         with pytest.raises(ValueError, match="bounds must be a finite pair"):
             small_config(bounds=bounds)
+
+    def test_bounds_list_is_the_tuple(self):
+        # a JSON-style list is stored as the tuple, so the config hashes and
+        # equals the default one
+        cfg = small_config(bounds=[0.0, 5.0])
+        assert cfg.bounds == (0.0, 5.0) and type(cfg.bounds) is tuple
+        assert cfg == small_config() and hash(cfg) == hash(small_config())
+        assert cfg.to_dict() == small_config().to_dict()
 
     def test_mutation_width_nonnegative(self):
         with pytest.raises(ValueError, match="mutation_width_frac must be nonnegative"):

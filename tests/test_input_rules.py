@@ -19,9 +19,11 @@ from spinchain import (
     GAConfig,
     PinchSpec,
     Spectrum,
+    christandl_chain,
     deviation_sweep,
     diagonalize_chain,
     pinched_spectrum,
+    propagate,
     reconstruct,
     snap_to_pst,
     trace,
@@ -121,7 +123,7 @@ class TestCallers:
     ])
     def test_sweep_refuses_before_any_point(self, monkeypatch, n_range, p_set, message):
         calls = []
-        monkeypatch.setattr(sweep, "_reconstruct", calls.append)
+        monkeypatch.setattr(sweep, "reconstruct_with_error", calls.append)
         with pytest.raises(ValueError) as info:
             deviation_sweep(n_range, p_set)
         assert str(info.value) == message
@@ -141,6 +143,26 @@ class TestCallers:
         ref = trace(PST5_ES, window=2.0, samples=401)
         out = trace(PST5_ES, window=2.0, samples=np.int64(401))
         assert np.array_equal(out.transfer, ref.transfer) and out.peaks == ref.peaks
+
+    @pytest.mark.parametrize("site", [True, 1.5, 1.0, np.float64(0), "0", None])
+    def test_propagate_site_integer(self, site):
+        with pytest.raises(ValueError) as info:
+            propagate(PST5_ES, site, 1.0)
+        assert str(info.value) == f"initial_site must be an integer, got {site!r}"
+
+    def test_propagate_numpy_site(self):
+        out = propagate(PST5_ES, np.int64(1), 1.0)
+        assert out.shape == (PST5_ES.n,)
+        assert np.array_equal(out, propagate(PST5_ES, 1, 1.0))
+
+    @pytest.mark.parametrize("n", [2.5, 5.0, True, "5", None])
+    def test_christandl_n_integer(self, n):
+        with pytest.raises(ValueError) as info:
+            christandl_chain(n, 1.0)
+        assert str(info.value) == f"n must be an integer, got {n!r}"
+
+    def test_christandl_numpy_n(self):
+        assert christandl_chain(np.int64(5), 1.0) == christandl_chain(5, 1.0)
 
     @pytest.mark.parametrize("n, message", [
         (None, "n must be an integer, got None"),

@@ -17,11 +17,11 @@ from spinchain import (
     pinched_spectrum,
     polynomial_table,
     reconstruct,
+    reconstruct_with_error,
     roundtrip_error,
     spectral_symmetry_check,
 )
 from spinchain.chain import mirror_bands, mirror_values, tridiagonal
-from spinchain.reconstruct import _reconstruct
 
 
 def compute_weights_loop(values):
@@ -243,8 +243,26 @@ class TestRoundTrip:
         negative, positive = (np.abs(mirror_values(d, sign * j) - lam).max()
                               for sign in (-1.0, 1.0))
         assert positive == negative == roundtrip_error(s)
-        assert _reconstruct(s, sign_convention="positive") \
+        assert reconstruct_with_error(s, sign_convention="positive") \
             == (reconstruct(s, sign_convention="positive"), negative)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 90), st.integers(0, 6), st.floats(0.2, 2.0),
+           st.floats(-5.0, 5.0), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1),
+           st.sampled_from(["negative", "positive"]))
+    def test_pair_is_the_two_calls(self, n, half_p, alpha, shift, wobble, seed,
+                                   convention):
+        # shifted pinched spectra, and the same with each gap scaled by a
+        # factor in [1 - wobble, 1 + wobble]: one call gives both results
+        s = pinched_spectrum(PinchSpec(n=n, p=2 * half_p + 1, alpha=alpha),
+                             shift=shift)
+        lam = np.asarray(s.values)
+        scale = np.random.default_rng(seed).uniform(1 - wobble, 1 + wobble, n - 1)
+        perturbed = Spectrum(values=tuple(lam[0] + np.concatenate(
+            [[0.0], np.cumsum(np.diff(lam) * scale)])))
+        for spectrum in (s, perturbed):
+            assert reconstruct_with_error(spectrum, convention) \
+                == (reconstruct(spectrum, convention), roundtrip_error(spectrum))
 
 
 class TestPolynomialTable:

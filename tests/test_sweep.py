@@ -104,11 +104,22 @@ class TestDeviationSweep:
             s = pinched_spectrum(PinchSpec(n=pt.n, p=pt.p, alpha=0.5))
             assert pt.roundtrip_err == roundtrip_error(s)
         calls = []
-        solve = sweep._reconstruct
-        monkeypatch.setattr(sweep, "_reconstruct",
+        solve = sweep.reconstruct_with_error
+        monkeypatch.setattr(sweep, "reconstruct_with_error",
                             lambda s: calls.append(s) or solve(s))
         deviation_sweep(range(4, 8), (3,))
         assert len(calls) == 4
+
+    def test_one_reduction_per_point(self, monkeypatch):
+        # counted at LAPACK: each point runs one Householder reduction, so
+        # its chain and roundtrip error come from one reconstruction
+        from scipy.linalg import lapack
+        dsytrd, calls = lapack.dsytrd, []
+        monkeypatch.setattr(lapack, "dsytrd",
+                            lambda *a, **k: calls.append(1) or dsytrd(*a, **k))
+        points = deviation_sweep(range(4, 12), (3, 9))
+        assert len(points) == 16 and not any(pt.error for pt in points)
+        assert len(calls) == 16
 
     def test_rejects_even_p(self):
         with pytest.raises(ValueError):
@@ -125,7 +136,7 @@ class TestDeviationSweep:
         # both are checked once, before the loop: no point of a sweep that
         # must fail is computed
         calls = []
-        monkeypatch.setattr(sweep, "_reconstruct", calls.append)
+        monkeypatch.setattr(sweep, "reconstruct_with_error", calls.append)
         with pytest.raises(ValueError) as info:
             deviation_sweep(range(4, 8), p_set, alpha=alpha)
         assert str(info.value) == message
@@ -143,13 +154,13 @@ class TestDeviationSweep:
         assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
         assert (tmp_path / "ok" / "sweep.csv").read_bytes() == SWEEP_CSV_4_8.encode()
 
-        solve = sweep._reconstruct
+        solve = sweep.reconstruct_with_error
 
         def failing(s):
             if s.n == 6 and s.p == 3:
                 raise NumericalError("no chain")
             return solve(s)
-        monkeypatch.setattr(sweep, "_reconstruct", failing)
+        monkeypatch.setattr(sweep, "reconstruct_with_error", failing)
         assert main(argv + ["--out", str(tmp_path / "nan")]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "10 sweep points (1 failed)"
         expected = SWEEP_CSV_4_8.replace(
