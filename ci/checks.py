@@ -36,12 +36,13 @@ def check(ok, message):
         raise AssertionError(message)
 
 
-def cli(env, *argv, expect=None):
-    """Run ``spinchain *argv``; it must exit 0, and print ``expect`` if given."""
+def cli(env, *argv, expect=None, code=0):
+    """Run ``spinchain *argv``; it must exit ``code``, and print ``expect`` if given."""
     done = subprocess.run([sys.executable, "-c", ENTRY, *argv], env=env,
                           capture_output=True, text=True)
     command = " ".join(["spinchain", *argv])
-    check(done.returncode == 0, f"{command} exited {done.returncode}:\n{done.stderr[-2000:]}")
+    check(done.returncode == code,
+          f"{command} exited {done.returncode}:\n{done.stderr[-2000:]}")
     check(expect is None or expect in done.stdout, f"{command} did not print {expect!r}")
     return done
 
@@ -100,6 +101,16 @@ def simulate_pinched(env):
     check(lines == 10002, f"trace.csv has {lines} lines, not 10002")
 
 
+def malformed_json(env):
+    """Each command that reads a JSON file refuses a top-level list: exit 2, one error line."""
+    Path("list.json").write_text("[1, 2]")
+    for command, *flags in (["simulate"], ["reconstruct"], ["snap", "--p", "3"], ["analyze"],
+                            ["optimize", "--seed", "3"]):
+        err = cli(env, command, "list.json", *flags, "--out", "o", code=2).stderr.splitlines()
+        check(len(err) == 1 and err[0].startswith("error: "),
+              f"spinchain {command} printed {err!r}, not one error line")
+
+
 def simulate_qpst(env):
     simulate(env, sc.ChainSpec(onsite=(3.40, 2.60, 2.33, 2.60, 3.40), couplings=(0.91,) * 4),
              "400")
@@ -121,6 +132,7 @@ ROWS = (  # name, environment, body, the body's arguments after the environment
      sc.ChainSpec(onsite=tuple(np.random.default_rng(20).uniform(0.0, 5.0, 2048)),
                   couplings=(1.0,) * 2047), "50"),
     ("simulate 5-site quasi-PST, window 400, refined peaks", ONE_THREAD, simulate_qpst),
+    ("malformed JSON inputs exit 2", {}, malformed_json),
 )
 
 

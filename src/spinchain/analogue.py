@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, EigenSystem, band_values
-from .errors import odd_pinch
+from .chain import ChainSpec, EigenSystem, band_values, known_convention
+from .errors import odd_pinch, positive
 from .spectra import _pinched_offsets
 
 UNIFORM_TOL = 1e-9
@@ -82,7 +82,7 @@ def oscillation_nodes(n: int, sign_convention: str) -> list[int]:
     the eigenvectors, where they resolve them.
     """
     nodes = list(range(n))
-    return nodes if sign_convention == "negative" else nodes[::-1]
+    return nodes if known_convention(sign_convention) == "negative" else nodes[::-1]
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,7 @@ def build_ladder(es: EigenSystem, p: int, gamma: float) -> LadderPair:
     sqrt(k+1) ladder amplitudes and the sqrt(n-2+1/p) top-step correction.
     """
     p = odd_pinch(p)
-    if not 0.0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    gamma = positive("gamma", gamma)
     n = es.n
     target = gamma * _pinched_offsets(n, p)
     deviation = np.abs(shifted_values(es) - target).max()
@@ -153,7 +152,7 @@ def build_ladder(es: EigenSystem, p: int, gamma: float) -> LadderPair:
         )
     sub = np.sqrt(gamma) * np.sqrt(np.arange(1, n, dtype=float))
     sub[n - 2] = np.sqrt(gamma) * np.sqrt(n - 2 + 1.0 / p)
-    return LadderPair(sub=sub, gamma=float(gamma), p=p)
+    return LadderPair(sub=sub, gamma=gamma, p=p)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, integer
+from .errors import NumericalError, integer, reals
 
 SIGN_CONVENTIONS = ("negative", "positive")
 
@@ -55,12 +55,12 @@ PAIR_BUDGET_DIVISOR = 128
 MIRROR_TOL = 1e-9
 
 
-def _float_tuple(values) -> tuple[float, ...]:
-    """``values`` as a tuple of Python floats. A 1-D float64 array takes one
-    ``tolist()``, whose entries are those floats already."""
-    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
-        return tuple(values.tolist())
-    return tuple(map(float, values))
+def known_convention(convention) -> str:
+    """``convention``, refused unless it is one of ``SIGN_CONVENTIONS``."""
+    if convention not in SIGN_CONVENTIONS:
+        raise ValueError(f"sign_convention must be one of {SIGN_CONVENTIONS}, "
+                         f"got {convention!r}")
+    return convention
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,10 @@ class ChainSpec:
     sign_convention: str = "negative"
 
     def __post_init__(self):
-        object.__setattr__(self, "onsite", _float_tuple(self.onsite))
-        object.__setattr__(self, "couplings", _float_tuple(self.couplings))
+        known_convention(self.sign_convention)
+        what = "on-site energies and couplings"
+        object.__setattr__(self, "onsite", reals(what, self.onsite))
+        object.__setattr__(self, "couplings", reals(what, self.couplings))
         if self.n < 2:
             raise ValueError(f"chain needs at least 2 sites, got {self.n}")
         if len(self.couplings) != self.n - 1:
@@ -88,15 +90,8 @@ class ChainSpec:
                 f"expected {self.n - 1} couplings for {self.n} sites, "
                 f"got {len(self.couplings)}"
             )
-        if not all(map(math.isfinite, self.onsite + self.couplings)):
-            raise ValueError("on-site energies and couplings must be finite")
         if 0.0 in self.couplings:
             raise ValueError("zero coupling disconnects the chain")
-        if self.sign_convention not in SIGN_CONVENTIONS:
-            raise ValueError(
-                f"sign_convention must be one of {SIGN_CONVENTIONS}, "
-                f"got {self.sign_convention!r}"
-            )
 
     @property
     def n(self) -> int:
@@ -119,8 +114,8 @@ class ChainSpec:
     def from_dict(cls, d: dict) -> "ChainSpec":
         try:
             spec = cls(
-                onsite=tuple(d["onsite"]),
-                couplings=tuple(d["couplings"]),
+                onsite=d["onsite"],
+                couplings=d["couplings"],
                 sign_convention=d.get("sign_convention", "negative"),
             )
             n = integer("n", d.get("n", spec.n))

@@ -30,13 +30,17 @@ CSV_BLOCK_ROWS = 4096
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in ``path``; any other top-level value is refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _write_json(path: Path, obj) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import EigenSystem
-from .errors import integer
+from .errors import integer, positive, real
 
 PEAK_FLOOR = 0.5
 SAMPLES_PER_UNIT = 200  # default trace density: 10,000 samples per 50-unit window
@@ -30,8 +30,9 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 def propagate(es: EigenSystem, initial_site: int, t: float) -> np.ndarray:
     """Complex site amplitudes at time t for an excitation starting on one site."""
-    if not 0.0 <= t < np.inf:
-        raise ValueError(f"time must be nonnegative and finite, got {t}")
+    t = real("t", t)
+    if t < 0.0:
+        raise ValueError(f"t must be nonnegative, got {t!r}")
     initial_site = integer("initial_site", initial_site)
     if not 0 <= initial_site < es.n:
         raise ValueError(f"initial_site {initial_site} out of range for n={es.n}")
@@ -178,10 +179,8 @@ def trace(es: EigenSystem, window: float = 50.0, samples: int | None = None,
     search run on all brackets [x[i-1], x[i+1]] at once; the reported F is
     ``transfer_fidelity`` at the final midpoint.
     """
-    if not 0.0 < j_max < np.inf:
-        raise ValueError(f"j_max must be positive and finite, got {j_max}")
-    if not 0.0 < window < np.inf:
-        raise ValueError(f"window must be positive and finite, got {window}")
+    j_max = positive("j_max", j_max)
+    window = positive("window", window)
     if samples is None:
         samples = max(2, int(round(SAMPLES_PER_UNIT * window))) + 1
     if integer("samples", samples) < 2:

@@ -14,14 +14,13 @@ still keep; ``_evaluate_block`` and ``fitness`` grid every row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .chain import ChainSpec, mirror_spectra
 from .dynamics import fidelity_grid
-from .errors import integer, odd_pinch
+from .errors import integer, odd_pinch, positive, real, reals
 from .spectra import Spectrum
 
 FITNESS_GRID_CHUNK = 32  # a 32-genome amp block (~1 MB at 2001 samples) stays in L2
@@ -58,14 +57,16 @@ class GAConfig:
         for name in ("n", "p", "generations", "population", "samples", "seed"):
             object.__setattr__(self, name, integer(name, getattr(self, name)))
         for name in ("mu_i", "mu_f", "a", "b", "coupling", "mutation_width_frac"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        object.__setattr__(self, "bounds", tuple(self.bounds))
-        if len(self.bounds) != 2 or not all(map(math.isfinite, self.bounds)):
-            raise ValueError(f"bounds must be a finite pair, got {self.bounds!r}")
-        if self.mutation_width_frac < 0:
-            raise ValueError("mutation_width_frac must be nonnegative")
+            object.__setattr__(self, name, real(name, getattr(self, name)))
+        object.__setattr__(self, "window", positive("window", self.window))
+        object.__setattr__(self, "bounds", reals("bounds", self.bounds))
+        if len(self.bounds) != 2 or self.bounds[1] <= self.bounds[0]:
+            raise ValueError(f"bounds must be an increasing pair, got {self.bounds!r}")
+        if type(self.seed_parabolic) is not bool:
+            raise ValueError(f"seed_parabolic must be a bool, got {self.seed_parabolic!r}")
+        for name in ("a", "b", "mutation_width_frac"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.n < 4:
             raise ValueError("GA spectral penalty needs at least 4 sites")
         odd_pinch(self.p)
@@ -75,12 +76,6 @@ class GAConfig:
             raise ValueError("population must be even and at least 2")
         if not self.mu_i >= self.mu_f >= 0.0:
             raise ValueError("need mu_i >= mu_f >= 0")
-        if not 0.0 < self.window < np.inf:
-            raise ValueError(f"window must be positive and finite, got {self.window}")
-        if self.a < 0 or self.b < 0:
-            raise ValueError("fitness weights must be nonnegative")
-        if self.bounds[1] <= self.bounds[0]:
-            raise ValueError("bounds must be an increasing pair")
         if self.coupling == 0.0:
             raise ValueError("coupling must be nonzero")
         if self.samples < 2:
@@ -115,9 +110,8 @@ class GAIndividual:
         return np.concatenate([g, g[: n - len(g)][::-1]])
 
     def to_chain(self, n: int, sign_convention: str = "negative") -> ChainSpec:
-        onsite = self.expand_onsite(n)
-        couplings = tuple([abs(self.coupling)] * (n - 1))
-        return ChainSpec(onsite=tuple(onsite), couplings=couplings,
+        couplings = (abs(self.coupling),) * (n - 1)
+        return ChainSpec(onsite=self.expand_onsite(n), couplings=couplings,
                          sign_convention=sign_convention)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, diagonalize_chain, mirror_values
+from .chain import ChainSpec, diagonalize_chain, known_convention, mirror_values
 from .errors import NumericalError
 from .spectra import Spectrum
 
@@ -126,9 +126,11 @@ def reconstruct_with_error(s: Spectrum,
 
     The error is max |input eigenvalue - chain eigenvalue| from values-only
     solves of the chain's two mirror blocks, the same in either convention.
-    Raises ``ValueError`` for repeated eigenvalues and ``NumericalError``
-    when the error exceeds CROSS_CHECK_TOL * spread.
+    Raises ``ValueError`` for an unknown sign convention (before any work) or
+    repeated eigenvalues, and ``NumericalError`` when the error exceeds
+    CROSS_CHECK_TOL * spread.
     """
+    known_convention(sign_convention)
     lam = np.asarray(s.values, dtype=float)
     n = lam.size
     spread = _check_simple(lam)

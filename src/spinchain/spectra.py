@@ -8,14 +8,12 @@ for odd p.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _float_tuple
-from .errors import integer, odd_pinch
+from .errors import integer, odd_pinch, positive, real, reals
 
 MAX_ODD_DIVISOR = 61  # candidate gap divisors 1, 3, ..., 61
 PST_TOL = 1e-9        # residual relative to the mean gap
@@ -36,11 +34,9 @@ class Spectrum:
     t_m: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _float_tuple(self.values))
+        object.__setattr__(self, "values", reals("eigenvalues", self.values))
         if len(self.values) < 2:
             raise ValueError("spectrum needs at least 2 eigenvalues")
-        if not all(map(math.isfinite, self.values)):
-            raise ValueError("eigenvalues must be finite")
         if not all(map(operator.lt, self.values, self.values[1:])):
             raise ValueError("eigenvalues must be strictly ascending")
 
@@ -62,7 +58,7 @@ class Spectrum:
     @classmethod
     def from_dict(cls, d: dict) -> "Spectrum":
         try:
-            return cls(values=tuple(d["values"]), p=d.get("p"), t_m=d.get("t_m"))
+            return cls(values=d["values"], p=d.get("p"), t_m=d.get("t_m"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed spectrum object: {exc}") from exc
 
@@ -81,8 +77,7 @@ class PinchSpec:
         if self.n < 2:
             raise ValueError("need at least 2 levels")
         odd_pinch(self.p)
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        object.__setattr__(self, "alpha", positive("alpha", self.alpha))
 
 
 def pinched_spectrum(ps: PinchSpec, shift: float = 0.0) -> Spectrum:
@@ -93,6 +88,7 @@ def pinched_spectrum(ps: PinchSpec, shift: float = 0.0) -> Spectrum:
     p*pi/(2*alpha).
     """
     n, p, alpha = ps.n, ps.p, ps.alpha
+    shift = real("shift", shift)
     values = alpha * np.arange(1 - n, n, 2, dtype=float) + shift
     values[-1] = values[-2] + 2.0 * alpha / p
     return Spectrum(values=values, spacing=2.0 * alpha, p=p,
@@ -168,7 +164,7 @@ def snap_to_pst(s: Spectrum, p: int) -> Spectrum:
     p = odd_pinch(p)
     lam0, gamma = _pinched_fit(s.values, p)
     snapped = lam0 + gamma * _pinched_offsets(s.n, p)
-    return Spectrum(values=tuple(snapped), spacing=gamma, p=p,
+    return Spectrum(values=snapped, spacing=gamma, p=p,
                     t_m=float(p * np.pi / gamma))
 
 

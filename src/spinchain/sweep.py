@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import integer, odd_pinch
+from .errors import integer, odd_pinch, positive
 from .reconstruct import reconstruct_with_error
 from .spectra import PinchSpec, pinched_spectrum
 
@@ -47,11 +47,10 @@ def christandl_chain(n: int, j0: float, sign_convention: str = "negative") -> Ch
     n = integer("n", n)
     if n < 2:
         raise ValueError("need at least 2 sites")
-    if j0 <= 0:
-        raise ValueError(f"base coupling must be positive, got {j0}")
+    j0 = positive("j0", j0)
     i = np.arange(1, n, dtype=float)
     couplings = j0 * np.sqrt(i * (n - i))
-    return ChainSpec(onsite=(0.0,) * n, couplings=tuple(couplings),
+    return ChainSpec(onsite=(0.0,) * n, couplings=couplings,
                      sign_convention=sign_convention)
 
 
@@ -60,14 +59,15 @@ def deviation_sweep(n_range, p_set, alpha: float = 0.5) -> list[SweepPoint]:
 
     Failed reconstructions yield a point with NaN statistics and an error
     message; the sweep always completes. Points come back sorted by (n, p).
-    An n or p that is not an integer, a p that is not positive and odd, or an
-    alpha that is not positive and finite raises ``ValueError`` before any
-    point runs.
+    An n or p that is not an integer, a p that is not positive and odd, an
+    alpha that is not positive and finite, or an empty n range or p set
+    raises ``ValueError`` before any point runs.
     """
     p_values = sorted(set(map(odd_pinch, p_set)))
-    if not 0.0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    alpha = positive("alpha", alpha)
     n_values = sorted(set(integer("n", v) for v in n_range))
+    if not (n_values and p_values):
+        raise ValueError("sweep needs at least one n and one p")
     points = []
     for n in n_values:
         for p in p_values:

@@ -62,13 +62,6 @@ def scaled_eigenvectors(solve):
     return fake
 
 
-def float_error(entry) -> str:
-    """The TypeError message ``float()`` gives for an entry it cannot convert."""
-    with pytest.raises(TypeError) as info:
-        float(entry)
-    return str(info.value)
-
-
 def as_kind(values, kind):
     """``values`` as a tuple, a list or a numpy array of the given dtype."""
     if kind in (tuple, list):

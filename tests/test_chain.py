@@ -41,7 +41,6 @@ from spinchain.chain import (
 from conftest import (
     CONTAINER_KINDS,
     as_kind,
-    float_error,
     random_mirror_chain,
     scaled_eigenvectors,
     uniform_chain,
@@ -209,10 +208,10 @@ class TestChainSpec:
         ((0.0, 0.0, 0.0), (1.0, 0.0), ValueError, "zero coupling disconnects the chain"),
         ((0.0, 0.0, 0.0), (-0.0, 1.0), ValueError, "zero coupling disconnects the chain"),
         ((0.0,), (), ValueError, "chain needs at least 2 sites, got 1"),
-        ((0.0, None), (1.0,), TypeError, float_error(None)),
-        ((0.0, 0.0), (1j,), TypeError, float_error(1j)),
-        (([0.0], 0.0), (1.0,), TypeError, float_error([0.0])),
-        (np.zeros((2, 2)), (1.0,), TypeError, float_error(np.zeros(2))),
+        ((0.0, None), (1.0,), ValueError, "on-site energies and couplings must be finite"),
+        ((0.0, 0.0), (1j,), ValueError, "on-site energies and couplings must be finite"),
+        (([0.0], 0.0), (1.0,), ValueError, "on-site energies and couplings must be finite"),
+        (np.zeros((2, 2)), (1.0,), ValueError, "on-site energies and couplings must be finite"),
     ])
     def test_rejects(self, onsite, couplings, exc, message):
         with pytest.raises(exc) as info:
@@ -222,7 +221,7 @@ class TestChainSpec:
     def test_from_dict_malformed_entry(self):
         with pytest.raises(ValueError) as info:
             ChainSpec.from_dict({"onsite": [0, None], "couplings": [1]})
-        assert str(info.value) == f"malformed chain object: {float_error(None)}"
+        assert str(info.value) == "on-site energies and couplings must be finite"
 
 
 class TestBuildHamiltonian:

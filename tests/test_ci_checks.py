@@ -39,6 +39,21 @@ def test_cli_fails_on_exit_status(env):
         checks.cli(env, "reconstruct", "--pinched", "5", "2", "0.5", "--out", "o")
 
 
+def test_cli_fails_on_wrong_code(env):
+    argv = ("reconstruct", "--pinched", "5", "3", "0.5", "--out", "o")
+    with pytest.raises(AssertionError, match="exited 0:"):
+        checks.cli(env, *argv, code=2)
+    assert checks.cli(env, "reconstruct", "--pinched", "5", "2", "0.5", code=2).returncode == 2
+
+
+def test_malformed_json_row_fails_on_a_traceback(env, monkeypatch):
+    checks.malformed_json(env)
+    # a command that crashes (exit 1, a traceback) fails the row
+    monkeypatch.setattr(checks, "ENTRY", "raise TypeError('list indices must be integers')")
+    with pytest.raises(AssertionError, match="spinchain simulate list.json --out o exited 1"):
+        checks.malformed_json(env)
+
+
 def test_cli_fails_on_missing_string(env):
     argv = ("reconstruct", "--pinched", "5", "3", "0.5", "--out", "o")
     assert checks.cli(env, *argv, expect="roundtrip error: ").returncode == 0

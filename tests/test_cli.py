@@ -405,7 +405,9 @@ class TestOptimize:
 
     @pytest.mark.parametrize("field, text", [("population", "16.0"), ("n", "5.0"),
                                              ("generations", "1.0"), ("samples", "201.0"),
-                                             ("bounds", "[0, Infinity]"), ("a", "NaN")])
+                                             ("bounds", "[0, Infinity]"), ("a", "NaN"),
+                                             ("a", "true"), ("window", "true"),
+                                             ("seed_parabolic", '"false"')])
     def test_malformed_field_exit_2(self, tmp_path, capsys, field, text):
         # JSON floats where integers belong, and non-finite reals, are refused
         # before any search runs
@@ -528,6 +530,16 @@ class TestSweep:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--n-min", "5", "--n-max", "4"], ["--p-list", ""],
+                                       ["--p-list", " , "]])
+    def test_empty_sweep_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        assert main(["sweep", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: sweep needs at least one n and one p\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 DROP, NESTED = object(), object()
 # a valid input file per reader, the commands that read it, and every field of
@@ -578,6 +590,23 @@ class TestExitContract:
                     assert len(lines) == 1 and lines[0].startswith("error: "), lines
                 else:
                     assert lines == []
+
+
+    @pytest.mark.parametrize("top", [[1, 2], [], "abc", 3, 2.5, None, True])
+    @pytest.mark.parametrize("argv", [
+        argv for _, _, commands in VALID_INPUTS.values() for argv in commands
+    ] + [["optimize", "--seed", "3"]])
+    def test_top_level_not_an_object(self, tmp_path, capsys, top, argv):
+        # every reader takes a JSON object; any other top-level value exits 2
+        # with one error line, before --seed or a field is looked at
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(top))
+        command, *flags = argv
+        out = tmp_path / "o"
+        assert main([command, str(path), *flags, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {path} must hold a JSON object, got {type(top).__name__}"]
+        assert not out.exists()
 
 
 def test_version_flag(capsys):

@@ -433,7 +433,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bounds", [(0.0, np.inf), (-np.inf, 5.0), (0.0, np.nan),
                                         (0.0,), (0.0, 2.0, 5.0)])
     def test_bounds_need_finite_pair(self, bounds):
-        with pytest.raises(ValueError, match="bounds must be a finite pair"):
+        with pytest.raises(ValueError, match="bounds must be (finite|an increasing pair)"):
             small_config(bounds=bounds)
 
     def test_bounds_list_is_the_tuple(self):
@@ -443,6 +443,12 @@ class TestConfigValidation:
         assert cfg.bounds == (0.0, 5.0) and type(cfg.bounds) is tuple
         assert cfg == small_config() and hash(cfg) == hash(small_config())
         assert cfg.to_dict() == small_config().to_dict()
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, np.bool_(False)])
+    def test_seed_parabolic_needs_bool(self, value):
+        with pytest.raises(ValueError) as info:
+            small_config(seed_parabolic=value)
+        assert str(info.value) == f"seed_parabolic must be a bool, got {value!r}"
 
     def test_mutation_width_nonnegative(self):
         with pytest.raises(ValueError, match="mutation_width_frac must be nonnegative"):

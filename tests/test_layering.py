@@ -12,7 +12,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spinchain"
 
 # (importing module, source module, private name)
 ALLOWED = {
-    ("spectra", "chain", "_float_tuple"),
     ("analogue", "spectra", "_pinched_offsets"),
     ("cli", "chain", "_bands"),
     ("cli", "spectra", "_pinched_fit"),

@@ -16,7 +16,7 @@ from spinchain import (
 )
 from spinchain.spectra import infer_pinch
 
-from conftest import CONTAINER_KINDS, as_kind, float_error, uniform_chain
+from conftest import CONTAINER_KINDS, as_kind, uniform_chain
 
 QPST_VALUES = (1.006, 2.006, 3.001, 3.994, 4.326)
 
@@ -48,9 +48,9 @@ class TestSpectrum:
         ((0.0, 2.0, 1.0), ValueError, "eigenvalues must be strictly ascending"),
         ((0.0, 1.0, 1.0), ValueError, "eigenvalues must be strictly ascending"),
         ((1.0,), ValueError, "spectrum needs at least 2 eigenvalues"),
-        ((None, 1.0), TypeError, float_error(None)),
-        ((0.0, 1j), TypeError, float_error(1j)),
-        (([0.0], 1.0), TypeError, float_error([0.0])),
+        ((None, 1.0), ValueError, "eigenvalues must be finite"),
+        ((0.0, 1j), ValueError, "eigenvalues must be finite"),
+        (([0.0], 1.0), ValueError, "eigenvalues must be finite"),
     ])
     def test_rejects(self, values, exc, message):
         with pytest.raises(exc) as info:

@@ -142,6 +142,16 @@ class TestDeviationSweep:
         assert str(info.value) == message
         assert calls == []
 
+    @pytest.mark.parametrize("n_range, p_set", [(range(5, 5), (3,)), ((), (3, 5)),
+                                                (range(4, 8), ()), ((), ())])
+    def test_rejects_empty(self, monkeypatch, n_range, p_set):
+        calls = []
+        monkeypatch.setattr(sweep, "reconstruct_with_error", calls.append)
+        with pytest.raises(ValueError) as info:
+            deviation_sweep(n_range, p_set)
+        assert str(info.value) == "sweep needs at least one n and one p"
+        assert calls == []
+
     def test_scale_covariance(self):
         base = deviation_sweep((8,), (5,), alpha=0.5)[0]
         scaled = deviation_sweep((8,), (5,), alpha=1.5)[0]
