@@ -29,6 +29,9 @@ open(sys.argv[3], 'w').write('t_Jmax,F,Fav\\n' + ''.join('%.12g,%.12g,%.12g\\n' 
 PYTHONPATH = os.pathsep.join(filter(None, [str(Path(sc.__file__).resolve().parents[1]),
                                            os.environ.get("PYTHONPATH")]))
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
+# F of a Christandl trace against sin^(2(N-1)): 7.4e-13 measured at N = 8192
+# through the first revival, plus the %.12g rounding of trace.csv
+CLOSED_FORM_TOL = 5e-12
 
 
 def check(ok, message):
@@ -111,10 +114,43 @@ def malformed_json(env):
               f"spinchain {command} printed {err!r}, not one error line")
 
 
+def peaks(path, floor=0.0):
+    """``path``'s refined peaks; at least one must reach F >= ``floor``."""
+    found = json.loads(Path(path).read_text())["peaks"]
+    check(any(peak["F"] >= floor for peak in found), f"{path}: no refined peak with F >= {floor}")
+
+
 def simulate_qpst(env):
     simulate(env, sc.ChainSpec(onsite=(3.40, 2.60, 2.33, 2.60, 3.40), couplings=(0.91,) * 4),
              "400")
-    check(json.loads(Path("a/peaks.json").read_text())["peaks"], "no refined peak")
+    peaks("a/peaks.json")
+
+
+def simulate_christandl(env):
+    """Through the first revival (t*J_max = 1608.5): a refined peak at F = 1 within 1e-9."""
+    simulate(env, sc.christandl_chain(2048, 1.0), "1700")
+    peaks("a/peaks.json", 1.0 - 1e-9)
+
+
+def closed_form(path, n, j_max, window, samples):
+    """F in the trace ``path`` of a j0 = 1 Christandl chain of n sites is
+    sin^(2(n-1))(t), t the trace's own grid over J_max, within CLOSED_FORM_TOL."""
+    f = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1)
+    check(f.size == samples, f"{path} has {f.size} samples, not {samples}")
+    exact = np.sin(np.linspace(0.0, float(window), samples) / j_max) ** (2 * (n - 1))
+    miss = np.abs(f - exact).max()
+    check(miss <= CLOSED_FORM_TOL, f"{path}: F misses sin^(2(N-1)) by {miss:.3e}")
+
+
+def christandl_closed_form(env, n):
+    """simulate of the j0 = 1 Christandl chain over 1.2x its first revival,
+    t = pi/2, in 2001 samples: F is the closed form and peaks at 1."""
+    chain = sc.christandl_chain(n, 1.0)
+    Path("chain.json").write_text(json.dumps(chain.to_dict()))
+    window = repr(1.2 * np.pi / 2.0 * chain.j_max)
+    cli(env, "simulate", "chain.json", "--window", window, "--samples", "2001", "--out", "a")
+    closed_form("a/trace.csv", n, chain.j_max, window, 2001)
+    peaks("a/peaks.json", 1.0 - 1e-9)
 
 
 ROWS = (  # name, environment, body, the body's arguments after the environment
@@ -127,7 +163,9 @@ ROWS = (  # name, environment, body, the body's arguments after the environment
      ["chain.json", "sweep.csv"]),
     ("default sweep reruns, N = 4-40, p = 3-13", ONE_THREAD, twice, [["sweep"]], ["sweep.csv"]),
     ("simulate pinched N = 2048, 10,002 lines", ONE_THREAD, simulate_pinched),
-    ("simulate Christandl N = 2048", ONE_THREAD, simulate, sc.christandl_chain(2048, 1.0), "50"),
+    ("simulate Christandl N = 2048, window 1700, peak F = 1", ONE_THREAD, simulate_christandl),
+    ("simulate Christandl N = 8192 against sin^(2(N-1))", ONE_THREAD, christandl_closed_form,
+     8192),
     ("simulate uniform-coupling U[0, 5] N = 2048, seed 20", ONE_THREAD, simulate,
      sc.ChainSpec(onsite=tuple(np.random.default_rng(20).uniform(0.0, 5.0, 2048)),
                   couplings=(1.0,) * 2047), "50"),

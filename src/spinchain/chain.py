@@ -3,7 +3,10 @@
 A chain is a set of on-site energies and nearest-neighbour couplings; in the
 single-excitation subspace its Hamiltonian is a real symmetric tridiagonal
 matrix, held natively as its two bands (diagonal, off-diagonal). Only this
-module lays bands out and calls a tridiagonal eigensolver. ``mirror_bands``
+module lays bands out and calls a tridiagonal eigensolver. One measure,
+``_mirror_violation``, says how far bands are from palindromic (exactly 0
+for ``eigendecompose``'s split, within a tolerance for
+``check_mirror_symmetry``). ``mirror_bands``
 splits palindromic chains into the bands of their even and odd half-size
 blocks (basis (e_i +- e_{N+1-i})/sqrt(2)); ``eigendecompose`` (checked
 eigenpairs), ``mirror_values`` (values only, the inverse path's check) and
@@ -214,6 +217,12 @@ def _bands(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     """The Hamiltonian's diagonal and (signed) off-diagonal band."""
     sign = -1.0 if spec.sign_convention == "negative" else 1.0
     return np.asarray(spec.onsite, dtype=float), sign * np.abs(spec.couplings)
+
+
+def _mirror_violation(d: np.ndarray, e: np.ndarray) -> float:
+    """The largest |d - reversed d| or |e - reversed e| of finite bands of at
+    least 2 sites: 0 exactly when the chain is palindromic."""
+    return max(np.abs(d - d[::-1]).max(), np.abs(e - e[::-1]).max())
 
 
 def tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -468,11 +477,13 @@ def eigendecompose(h) -> EigenSystem:
     tridiagonal, symmetric within 1e-12) and reduced to its diagonal and upper
     band; the solve and its eigenpair checks see only those.
 
-    A palindromic matrix (bands equal to their reversals, exactly) is solved
-    as its even and odd half-size blocks, each checked on its own bands with
-    the same tolerances; its eigenvectors are then exact mirror eigenstates,
-    assembled from the blocks on the first read of ``vectors``. Every check
-    runs before this returns.
+    A palindromic matrix is solved as its even and odd half-size blocks, each
+    checked on its own bands with the same tolerances; its eigenvectors are
+    then exact mirror eigenstates, assembled from the blocks on the first
+    read of ``vectors``. Palindromic here means a ``_mirror_violation`` of
+    exactly 0: the blocks are built from the top halves of the bands, so a
+    chain one ulp off its mirror would be solved as a different matrix, and
+    takes the full solve instead. Every check runs before this returns.
 
     Returns ascending eigenvalues and orthonormal eigenvectors with a
     deterministic sign convention (first nonzero component positive). Raises
@@ -503,7 +514,7 @@ def eigendecompose(h) -> EigenSystem:
         raise ValueError("matrix entries must be finite")
     h_max = max(d_max, e_max)
 
-    if n > 1 and (d == d[::-1]).all() and (e == e[::-1]).all():
+    if n > 1 and _mirror_violation(d, e) == 0.0:
         (even_d, even_e), (odd_d, odd_e) = mirror_bands(d, e, n)
         even_values, even = _solve_checked(even_d, even_e, h_max, n)
         odd_values, odd = _solve_checked(odd_d, odd_e, h_max, n)
@@ -526,12 +537,13 @@ def mirror_operator(n: int) -> np.ndarray:
 def check_mirror_symmetry(spec: ChainSpec, tol: float = MIRROR_TOL) -> tuple[bool, float]:
     """Is the chain palindromic (persymmetric Hamiltonian)?
 
-    Returns (symmetric, largest violation) comparing the on-site profile and
-    the coupling-magnitude profile against their reversals.
+    Returns (symmetric, largest violation): the ``_mirror_violation`` of the
+    Hamiltonian's bands, so of the on-site profile and the coupling-magnitude
+    profile against their reversals. This judges a design, which may come
+    from a file or from arithmetic that rounds, so it allows ``tol``; only
+    ``eigendecompose``'s block split needs exact symmetry.
     """
-    eps = np.asarray(spec.onsite)
-    j = np.abs(spec.couplings)
-    violation = float(max(np.abs(eps - eps[::-1]).max(), np.abs(j - j[::-1]).max()))
+    violation = float(_mirror_violation(*_bands(spec)))
     return violation <= tol, violation
 
 

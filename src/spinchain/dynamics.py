@@ -10,7 +10,9 @@ amplitude needs only the spectrum and the end weights V[0, k] * V[N-1, k]:
 nothing else, so a trace never assembles the N x N eigenvector matrix.
 ``trace`` refines its peaks by one golden-section search run on all brackets
 at once (``_refine_peaks``) and reports F as ``transfer_fidelity`` at each
-final midpoint; ``transfer_fidelity`` is the scalar reference.
+final midpoint; ``transfer_fidelity`` is the scalar reference. The
+Bloch-averaged fidelity <F_av> has one formula, ``_average``: ``trace``'s
+``average`` column and ``average_fidelity`` both evaluate it.
 """
 
 from __future__ import annotations
@@ -111,12 +113,22 @@ def fidelity_grid(lam: np.ndarray, w: np.ndarray, dt: float, samples: int) -> np
     return (parts[..., 0::2] + parts[..., 1::2]).reshape(rows, -1)[:, :samples]
 
 
+def _average(f):
+    """<F_av> = sqrt(F)/3 + F/6 + 1/2 of transfer fidelities F in [0, 1], elementwise."""
+    a = np.sqrt(f)
+    return a / 3.0 + f / 6.0 + 0.5
+
+
 def average_fidelity(f_transfer: float) -> float:
-    """Bloch-sphere-averaged fidelity, maximized over the global field (cos nu = 1)."""
-    if not -1e-9 <= f_transfer <= 1.0 + 1e-9:
-        raise ValueError(f"transfer fidelity must lie in [0, 1], got {f_transfer}")
-    a = np.sqrt(min(max(f_transfer, 0.0), 1.0))
-    return float(a / 3.0 + a * a / 6.0 + 0.5)
+    """Bloch-sphere-averaged fidelity, maximized over the global field (cos nu = 1).
+
+    ``trace``'s ``average`` column bit for bit, for F in [0, 1]; F within 1e-9
+    outside that range is clamped to it.
+    """
+    f = real("f_transfer", f_transfer)
+    if not -1e-9 <= f <= 1.0 + 1e-9:
+        raise ValueError(f"transfer fidelity must lie in [0, 1], got {f}")
+    return float(_average(min(max(f, 0.0), 1.0)))
 
 
 @dataclass(frozen=True)
@@ -192,8 +204,6 @@ def trace(es: EigenSystem, window: float = 50.0, samples: int | None = None,
                       samples)[0]
     # below the worst-case rounding of the n-term amplitude sum F is noise
     f[f < (es.n * np.finfo(float).eps * np.abs(w).sum()) ** 2] = 0.0
-    a = np.sqrt(f)
-    fav = a / 3.0 + f / 6.0 + 0.5
 
     interior = np.flatnonzero(
         (f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]) & (f[1:-1] > PEAK_FLOOR)
@@ -203,7 +213,8 @@ def trace(es: EigenSystem, window: float = 50.0, samples: int | None = None,
         for xp in _refine_peaks(es, j_max, x[interior - 1], x[interior + 1]):
             peaks.append((float(xp), transfer_fidelity(es, xp / j_max)))
 
-    return FidelityTrace(times=x, transfer=f, average=fav, peaks=peaks, j_max=j_max)
+    return FidelityTrace(times=x, transfer=f, average=_average(f), peaks=peaks,
+                        j_max=j_max)
 
 
 def revival_peaks(tr: FidelityTrace) -> list[tuple[float, float]]:

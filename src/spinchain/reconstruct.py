@@ -16,18 +16,13 @@ values-only solves of its two blocks (``chain.mirror_values``, LAPACK
 ``dsterf``). ``reconstruct_with_error`` returns the chain with the miss of
 that check, in one reconstruction; ``reconstruct`` and ``roundtrip_error``
 return one of the two. No eigenvector is computed on the inverse path.
-
-The end-site weights remain the diagnostic inner product: ``polynomial_table``
-reads its orthogonal polynomials off the reconstructed chain's eigenvectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .chain import ChainSpec, diagonalize_chain, known_convention, mirror_values
+from .chain import ChainSpec, known_convention, mirror_values
 from .errors import NumericalError
 from .spectra import Spectrum
 
@@ -44,54 +39,13 @@ def _check_simple(lam: np.ndarray) -> float:
 
 
 def compute_weights(values) -> np.ndarray:
-    """Reconstruction weights from eigenvalue spacings, one per eigenvalue."""
+    """End-site weights w_k = prod_{j!=k} 1/|lam_k - lam_j|, one per eigenvalue,
+    unnormalized; they span ~2^(N/2), so long chains over- or underflow them."""
     lam = np.asarray(values, dtype=float)
     _check_simple(lam)
     gaps = np.abs(np.subtract.outer(lam, lam))
     np.fill_diagonal(gaps, 1.0)
     return 1.0 / np.prod(gaps, axis=1)
-
-
-@dataclass(frozen=True)
-class PolynomialTable:
-    """Normalized recurrence polynomials evaluated on the spectrum.
-
-    Row j of ``values`` holds P_j(lam_k)/||P_j|| for each eigenvalue;
-    ``norms`` holds ||P_j|| under the weighted inner product. Sign patterns
-    of successive rows interlace (row j changes sign exactly j times).
-    """
-
-    values: np.ndarray
-    norms: np.ndarray
-
-    def sign_changes(self, j: int) -> int:
-        """Sign changes along row j, skipping entries below 1e-12 of its largest.
-
-        Known limit: from N ~ 100 a row spans over 12 decades and changes among
-        the skipped entries are lost (pinched p = 3, alpha = 1/2: exact at
-        N = 60 and 80, wrong on 49 of 100 rows at N = 100)."""
-        row = self.values[j]
-        signs = np.sign(row[np.abs(row) > 1e-12 * np.abs(row).max()])
-        return int(np.sum(signs[1:] != signs[:-1]))
-
-
-def polynomial_table(s: Spectrum) -> PolynomialTable:
-    """Recurrence diagnostics for a spectrum (used to test interlacing).
-
-    With positive couplings the eigenvectors V of the reconstructed chain
-    hold the orthonormal polynomials: V[j, k] = P_j(lam_k)/||P_j|| * sqrt(w_k)
-    / ||sqrt(w)||, and ||P_{j+1}|| = ||P_j|| * J_j.
-    """
-    lam = np.asarray(s.values, dtype=float)
-    with np.errstate(over="ignore"):
-        root_norm = np.linalg.norm(np.sqrt(compute_weights(lam)))
-    if not 0.0 < root_norm < np.inf:
-        raise NumericalError(f"polynomial_table: end-site weights out of range "
-                             f"(norm {root_norm:.3e}, N={lam.size})")
-    chain = reconstruct(s, sign_convention="positive")
-    v = diagonalize_chain(chain).vectors
-    norms = root_norm * np.concatenate([[1.0], np.cumprod(chain.couplings)])
-    return PolynomialTable(values=v / v[0] / root_norm, norms=norms)
 
 
 def _centre_weights(lam: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ class Spectrum:
 
     ``spacing`` is the base level spacing (2*alpha) and ``p`` the odd pinch
     denominator when the spectrum comes from the pinched family; ``t_m`` is
-    the mirror time if known.
+    the mirror time if known. Each is None or passes its rule (``odd_pinch``
+    for ``p``, ``positive`` for the others), which gives the value stored.
     """
 
     values: tuple[float, ...]
@@ -39,6 +40,11 @@ class Spectrum:
             raise ValueError("spectrum needs at least 2 eigenvalues")
         if not all(map(operator.lt, self.values, self.values[1:])):
             raise ValueError("eigenvalues must be strictly ascending")
+        if self.p is not None:
+            object.__setattr__(self, "p", odd_pinch(self.p))
+        for name in ("spacing", "t_m"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, positive(name, value))
 
     @property
     def n(self) -> int:

@@ -6,8 +6,10 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import spinchain as sc
 from spinchain.cli import main
 
 from conftest import QPST_COUPLING, QPST_ONSITE
@@ -66,3 +68,23 @@ def test_reference_equals_cli_trace(env):
                                               "couplings": [QPST_COUPLING] * 4}))
     assert main(["simulate", "chain.json", "--window", "50", "--out", "o"]) == 0
     checks.same("o/trace.csv", checks.reference(env, "chain.json", "50"))
+
+
+def test_closed_form_row_fails_on_a_perturbed_f(env):
+    checks.christandl_closed_form(env, 64)
+    j_max = sc.christandl_chain(64, 1.0).j_max
+    window = repr(1.2 * np.pi / 2.0 * j_max)
+    # one sample near the revival moved by 2x the bound fails the row
+    rows = Path("a/trace.csv").read_text().splitlines()
+    t, f, fav = rows[1668].split(",")
+    rows[1668] = ",".join([t, "%.12g" % (float(f) - 2 * checks.CLOSED_FORM_TOL), fav])
+    Path("a/trace.csv").write_text("\n".join(rows) + "\n")
+    with pytest.raises(AssertionError, match=r"a/trace.csv: F misses sin\^\(2\(N-1\)\) by "):
+        checks.closed_form("a/trace.csv", 64, j_max, window, 2001)
+
+
+def test_peaks_fails_below_the_floor(env):
+    Path("peaks.json").write_text(json.dumps({"peaks": [{"t": 1.0, "F": 0.999}]}))
+    checks.peaks("peaks.json", 0.99)
+    with pytest.raises(AssertionError, match="no refined peak with F >= 0.999999999"):
+        checks.peaks("peaks.json", 1.0 - 1e-9)

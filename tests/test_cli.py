@@ -563,6 +563,8 @@ class TestExitContract:
     @example(target=("chain", "n"), value=None)
     @example(target=("chain", "n"), value=NESTED)
     @example(target=("spectrum", "values"), value=NESTED)
+    @example(target=("spectrum", "p"), value="x")
+    @example(target=("spectrum", "t_m"), value=True)
     def test_one_mutated_field(self, target, value):
         # exit 0 if the reader still takes the file, else 2 with one error line
         kind, field = target
@@ -591,6 +593,25 @@ class TestExitContract:
                 else:
                     assert lines == []
 
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p", "x", "p must be an integer, got 'x'"),
+        ("p", 4, "pinch p must be a positive odd integer, got 4"),
+        ("p", 3.0, "p must be an integer, got 3.0"),
+        ("t_m", True, "t_m must be positive and finite, got True"),
+        ("t_m", -1.0, "t_m must be positive and finite, got -1.0"),
+        ("t_m", "4.7", "t_m must be positive and finite, got '4.7'"),
+    ])
+    @pytest.mark.parametrize("argv", VALID_INPUTS["spectrum"][2])
+    def test_spectrum_metadata(self, tmp_path, capsys, field, value, message, argv):
+        # a spectrum file's p and t_m pass the same rules as everywhere else
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({**VALID_INPUTS["spectrum"][1], field: value}))
+        command, *flags = argv
+        out = tmp_path / "o"
+        assert main([command, str(path), *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("top", [[1, 2], [], "abc", 3, 2.5, None, True])
     @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinchain import (
@@ -175,6 +175,58 @@ class TestAverageFidelity:
             average_fidelity(1.5)
         with pytest.raises(ValueError):
             average_fidelity(-0.2)
+
+    def test_equals_trace_average(self, qpst_chain, qpst_es):
+        # one formula: the scalar gives every sample of the trace's column bit for bit
+        tr = trace(qpst_es, window=400.0, j_max=qpst_chain.j_max)
+        assert tr.transfer.size == 80001
+        assert_bitwise([average_fidelity(f) for f in tr.transfer.tolist()], tr.average)
+
+
+def log_binomial_weights(n):
+    """C(N-1, k) / 2^(N-1) for k = 0..N-1, from log-gammas (no overflow)."""
+    return np.exp([math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k)
+                   - (n - 1) * math.log(2.0) for k in range(n)])
+
+
+class TestChristandlClosedForm:
+    """The Christandl chain J_i = j0 sqrt(i(N-i)) is -+2 j0 S_x for spin (N-1)/2:
+    eigenvalues 2 j0 m, end weights +-C(N-1, k)/2^(N-1) and
+    F(t) = sin^(2(N-1))(j0 t) exactly, first revival at t = pi/(2 j0).
+    Worst misses measured over N <= 4096 and j0 in [0.1, 10] (window 1.2x that
+    revival, 2001 samples): eigenvalues 6.5e-16 of the spread (N = 76), |w|
+    3.4e-12 of max w and F 3.9e-13 (both N = 4096); each bound is at most 10x
+    its N = 4096 figure."""
+
+    VALUE_TOL = 2.4e-15   # of the spread 2 j0 (N-1)
+    WEIGHT_TOL = 3e-11    # of the largest weight
+    FIDELITY_TOL = 3e-12
+
+    def check(self, n, j0, convention):
+        chain = christandl_chain(n, j0, convention)
+        es = diagonalize_chain(chain)
+        exact = 2.0 * j0 * (np.arange(n) - (n - 1) / 2)
+        assert np.abs(es.values - exact).max() <= self.VALUE_TOL * 2.0 * j0 * (n - 1)
+        w = log_binomial_weights(n)
+        assert np.abs(np.abs(es.end_weights) - w).max() <= self.WEIGHT_TOL * w.max()
+        # through the first revival, t*J_max = pi J_max / (2 j0)
+        window = 1.2 * math.pi / 2.0 * chain.j_max / j0
+        tr = trace(es, window=window, samples=2001, j_max=chain.j_max)
+        f = np.sin(j0 * tr.times / chain.j_max) ** (2 * (n - 1))
+        assert np.abs(tr.transfer - f).max() <= self.FIDELITY_TOL
+        assert tr.peaks and max(p[1] for p in tr.peaks) >= 1.0 - 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 2048), j0=st.floats(0.1, 10.0),
+           convention=st.sampled_from(["negative", "positive"]))
+    @example(n=2048, j0=10.0, convention="positive")
+    @example(n=2, j0=0.1, convention="negative")
+    def test_up_to_2048(self, n, j0, convention):
+        self.check(n, j0, convention)
+
+    @pytest.mark.parametrize("convention", ["negative", "positive"])
+    def test_4096(self, convention):
+        self.check(4096, 0.37, convention)
 
 
 class TestTrace:

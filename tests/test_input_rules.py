@@ -27,6 +27,7 @@ from spinchain import (
     GAConfig,
     PinchSpec,
     Spectrum,
+    average_fidelity,
     christandl_chain,
     deviation_sweep,
     diagonalize_chain,
@@ -58,9 +59,12 @@ ENTRY_POINTS = {
     "deviation_sweep": lambda p: deviation_sweep((5, 6), (p,)),
     "snap_to_pst": lambda p: snap_to_pst(Spectrum(values=PST5_VALUES), p),
     "build_ladder": ladder,
+    "Spectrum.p": lambda p: Spectrum(values=PST5_VALUES, p=p),
 }
 NOT_ODD = [2, 0, -1]
 NOT_INTEGER = [3.0, 3.7, True, "3", None]
+# optional fields, where None stands for "not given"
+OPTIONAL = {"Spectrum.p", "Spectrum.spacing", "Spectrum.t_m"}
 
 
 class TestRules:
@@ -104,6 +108,9 @@ class TestEntryPoints:
 
     @pytest.mark.parametrize("p", NOT_INTEGER)
     def test_refuses_not_integer(self, entry, p):
+        if p is None and entry in OPTIONAL:  # None stands for "not given": accepted
+            ENTRY_POINTS[entry](p)
+            return
         with pytest.raises(ValueError) as info:
             ENTRY_POINTS[entry](p)
         assert str(info.value) == f"p must be an integer, got {p!r}"
@@ -244,6 +251,9 @@ REAL_ENTRY_POINTS = {
     "ChainSpec.couplings": ("reals", "on-site energies and couplings",
                             lambda x: ChainSpec(onsite=(0.0, 0.0), couplings=(x,))),
     "Spectrum.values": ("reals", "eigenvalues", lambda x: Spectrum(values=(-1.0, x))),
+    "Spectrum.spacing": ("positive", "spacing", lambda x: Spectrum(values=(-1.0, 1.0), spacing=x)),
+    "Spectrum.t_m": ("positive", "t_m", lambda x: Spectrum(values=(-1.0, 1.0), t_m=x)),
+    "average_fidelity": ("real", "f_transfer", average_fidelity),
 }
 NOT_REAL = [math.nan, math.inf, -math.inf, True, "0.5", None]
 NOT_POSITIVE = [0.0, -1.0]
@@ -286,7 +296,7 @@ class TestRealRules:
         # (module, function) of every line that does
         allowed = {
             ("chain", "_orthonormal_by_gaps"), ("chain", "eigendecompose"),
-            ("reconstruct", "polynomial_table"), ("reconstruct", "_centre_weights"),
+            ("reconstruct", "_centre_weights"),
             ("ga", "_shaped"), ("ga", "_score_fresh"),
         }
         found = set()
@@ -307,7 +317,8 @@ class TestRealRules:
 class TestRealEntryPoints:
     @pytest.mark.parametrize("entry, x", [
         (entry, x) for entry, (rule, _, _) in REAL_ENTRY_POINTS.items()
-        for x in NOT_REAL + (NOT_POSITIVE if rule == "positive" else [])])
+        for x in NOT_REAL + (NOT_POSITIVE if rule == "positive" else [])
+        if not (x is None and entry in OPTIONAL)])
     def test_refuses(self, entry, x):
         rule, name, call = REAL_ENTRY_POINTS[entry]
         with pytest.raises(ValueError) as info:
@@ -324,6 +335,11 @@ class TestRealEntryPoints:
 
 
 class TestRealCallers:
+    def test_spectrum_metadata_none_is_not_given(self):
+        s = Spectrum(values=PST5_VALUES, spacing=None, p=None, t_m=None)
+        assert (s.spacing, s.p, s.t_m) == (None, None, None)
+        assert Spectrum.from_dict({"values": list(PST5_VALUES)}) == s
+
     @pytest.mark.parametrize("field, value", [("a", True), ("window", True), ("a", "0.5"),
                                               ("mu_i", None), ("b", "nan")])
     def test_ga_config_json_exit_2(self, tmp_path, capsys, field, value):

@@ -15,7 +15,6 @@ from spinchain import (
     compute_weights,
     diagonalize_chain,
     pinched_spectrum,
-    polynomial_table,
     reconstruct,
     reconstruct_with_error,
     roundtrip_error,
@@ -263,27 +262,6 @@ class TestRoundTrip:
         for spectrum in (s, perturbed):
             assert reconstruct_with_error(spectrum, convention) \
                 == (reconstruct(spectrum, convention), roundtrip_error(spectrum))
-
-
-class TestPolynomialTable:
-    def test_interlacing_sign_changes(self):
-        for p in (1, 3, 9, 15):
-            for n in (5, 12, 25, 40):
-                s = pinched_spectrum(PinchSpec(n=n, p=p, alpha=0.5))
-                table = polynomial_table(s)
-                for j in range(n):
-                    assert table.sign_changes(j) == j
-
-    def test_weight_underflow_raises(self):
-        s = pinched_spectrum(PinchSpec(n=200, p=3, alpha=0.5))
-        with pytest.raises(NumericalError, match="end-site weights out of range"):
-            polynomial_table(s)
-
-    def test_constant_start(self):
-        table = polynomial_table(Spectrum(values=(0.0, 1.0, 2.5)))
-        assert np.ptp(table.values[0]) <= 1e-15
-        assert table.norms[0] == pytest.approx(
-            np.sqrt(np.sum(compute_weights((0.0, 1.0, 2.5)))))
 
 
 class TestSymmetricSpectrumTheorem:
