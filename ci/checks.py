@@ -32,6 +32,9 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
 # F of a Christandl trace against sin^(2(N-1)): 7.4e-13 measured at N = 8192
 # through the first revival, plus the %.12g rounding of trace.csv
 CLOSED_FORM_TOL = 5e-12
+# ladder_residual of analyze over the spectral spread: 5.9e-15 measured for the
+# pinched N = 2047 chain (p = 3) at one BLAS thread
+LADDER_TOL = 2e-14
 
 
 def check(ok, message):
@@ -153,6 +156,30 @@ def christandl_closed_form(env, n):
     peaks("a/peaks.json", 1.0 - 1e-9)
 
 
+def diagnostics(path, n, spread):
+    """``path``'s analogue report of an n-site chain with a pinched spectrum of
+    this spread: nodes 0..n-1, n // 2 x pairs, a zero mode exactly for odd n,
+    and a ladder residual within LADDER_TOL of the spread."""
+    report = json.loads(Path(path).read_text())
+    check(report["nodes"] == list(range(n)), f"{path}: nodes are not 0..{n - 1}")
+    pairs = len(report["x_pairs"])
+    check(pairs == n // 2, f"{path}: {pairs} x pairs, not {n // 2}")
+    check(report["zero_mode"] is (n % 2 == 1), f"{path}: zero_mode is {report['zero_mode']}")
+    residual = report["ladder_residual"]
+    check(residual <= LADDER_TOL * spread,
+          f"{path}: ladder residual {residual:.3e} above {LADDER_TOL:g} x spread {spread:.6g}")
+
+
+def analyze_pinched(env, n):
+    """Two identical analyze runs of the pinched chain (p = 3, alpha = 1/2,
+    shifted), whose report passes ``diagnostics``."""
+    cli(env, "reconstruct", "--pinched", str(n), "3", "0.5", "--shift", "-2.740285928251791",
+        "--out", "rec")
+    twice(env, [["analyze", "rec/chain.json"]], ["diagnostics.json"])
+    values = sc.pinched_spectrum(sc.PinchSpec(n=n, p=3, alpha=0.5)).values
+    diagnostics("a/diagnostics.json", n, values[-1] - values[0])
+
+
 ROWS = (  # name, environment, body, the body's arguments after the environment
     ("cold start: optimize loads no scipy", {"PYTHONPROFILEIMPORTTIME": "1"}, cold_start),
     ("optimize reruns, N = 5, population 256, 20 generations", {}, optimize_reruns),
@@ -170,6 +197,8 @@ ROWS = (  # name, environment, body, the body's arguments after the environment
      sc.ChainSpec(onsite=tuple(np.random.default_rng(20).uniform(0.0, 5.0, 2048)),
                   couplings=(1.0,) * 2047), "50"),
     ("simulate 5-site quasi-PST, window 400, refined peaks", ONE_THREAD, simulate_qpst),
+    ("analyze pinched N = 2047 reruns, zero mode, 1023 pairs", ONE_THREAD, analyze_pinched,
+     2047),
     ("malformed JSON inputs exit 2", {}, malformed_json),
 )
 

@@ -137,21 +137,19 @@ def build_ladder(es: EigenSystem, p: int, gamma: float) -> LadderPair:
     """Ladder operators for a chain whose spectrum is the pinched form.
 
     Validates that the ground-shifted spectrum is gamma*(0, 1, ..., n-2,
-    n-2+1/p) within 1e-6, then builds the raising operator with the
-    sqrt(k+1) ladder amplitudes and the sqrt(n-2+1/p) top-step correction.
+    n-2+1/p) within 1e-6, then builds the raising operator, whose steps are
+    sqrt(gamma) times the square roots of that form's levels 1, ..., n-1.
     """
     p = odd_pinch(p)
     gamma = positive("gamma", gamma)
-    n = es.n
-    target = gamma * _pinched_offsets(n, p)
-    deviation = np.abs(shifted_values(es) - target).max()
+    offsets = _pinched_offsets(es.n, p)
+    deviation = np.abs(shifted_values(es) - gamma * offsets).max()
     if deviation > PINCHED_FORM_TOL * max(1.0, gamma):
         raise ValueError(
             f"spectrum deviates from the pinched form by {deviation:.3e}; "
             "ladder operators are not defined"
         )
-    sub = np.sqrt(gamma) * np.sqrt(np.arange(1, n, dtype=float))
-    sub[n - 2] = np.sqrt(gamma) * np.sqrt(n - 2 + 1.0 / p)
+    sub = np.sqrt(gamma) * np.sqrt(offsets[1:])
     return LadderPair(sub=sub, gamma=gamma, p=p)
 
 

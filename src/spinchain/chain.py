@@ -158,26 +158,26 @@ class EigenSystem:
 class _MirrorSystem(EigenSystem):
     """A palindromic chain's eigensystem, held as its two checked mirror blocks.
 
-    ``values`` are the blocks' eigenvalues, even block first, and
-    ``even``/``odd`` hold their eigenvectors as rows. ``vectors`` is
-    assembled from them on its first read, and the blocks are then dropped.
+    ``values`` are the blocks' eigenvalues, even block first, sorted, and the
+    blocks are kept with each sorted state's parity (+1 even, -1 odd).
+    ``end_weights`` is built from the blocks; ``vectors`` is assembled from
+    them on its first read, after ``end_weights``, and the blocks are dropped.
     """
 
     def __init__(self, values: np.ndarray, even: np.ndarray, odd: np.ndarray):
         order = np.argsort(values, kind="stable")
         object.__setattr__(self, "values", values[order])
-        object.__setattr__(self, "_blocks", (order, even, odd))
+        parity = np.where(order < len(even), 1.0, -1.0)
+        object.__setattr__(self, "_blocks", (order, parity, even, odd))
 
     @cached_property
     def end_weights(self) -> np.ndarray:
-        if "_blocks" not in self.__dict__:  # assembled, and the blocks dropped
-            return super().end_weights
         # V[0, k] = +-x_k and V[N-1, k] = +-x_k * parity_k, one sign for both,
         # x_k the block vector's first component over sqrt(2): the product
         # x * (x * parity) is V[0] * V[-1] bit for bit
-        order, even, odd = self._blocks
+        order, parity, even, odd = self._blocks
         x = np.concatenate([even[:, 0], odd[:, 0]])[order] * np.sqrt(0.5)
-        return x * (x * np.where(order < len(even), 1.0, -1.0))
+        return x * (x * parity)
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -188,7 +188,8 @@ class _MirrorSystem(EigenSystem):
         holds every vector's largest component, and the bottom half is the top
         half reversed, negated for odd rows.
         """
-        order, even, odd = self.__dict__.pop("_blocks")
+        self.end_weights  # built from the blocks before they are dropped
+        order, parity, even, odd = self.__dict__.pop("_blocks")
         n = order.size
         m = n // 2
         row = np.empty(n, dtype=np.intp)
@@ -208,8 +209,7 @@ class _MirrorSystem(EigenSystem):
         del even, odd  # freed before the sign fix's buffers
         # the top half holds each vector's largest component
         _fix_row_signs(vt[:, : n - m])
-        parity = np.where(order < even_rows.size, 1.0, -1.0)[:, None]
-        np.multiply(vt[:, m - 1:: -1], parity, out=vt[:, n - m:])
+        np.multiply(vt[:, m - 1:: -1], parity[:, None], out=vt[:, n - m:])
         return vt.T
 
 

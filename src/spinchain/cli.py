@@ -136,17 +136,17 @@ def cmd_snap(args) -> int:
     spectrum = Spectrum.from_dict(_load_json(args.spectrum))
     snapped = snap_to_pst(spectrum, p=args.p)
     shifts = [b - a for a, b in zip(spectrum.values, snapped.values)]
+    max_shift = max(abs(s) for s in shifts)
 
     out = _out_dir(args)
     _write_json(out / "spectrum_pst.json", snapped.to_dict())
     _write_json(out / "snap_diff.json", {
         "shifts": shifts,
-        "max_shift": max(abs(s) for s in shifts),
+        "max_shift": max_shift,
         "t_m": snapped.t_m,
     })
     _write_manifest(out, "snap", [args.spectrum], {"p": args.p})
-    print(f"max eigenvalue shift: {max(abs(s) for s in shifts):.3e}; "
-          f"t_m = {snapped.t_m:.6f}")
+    print(f"max eigenvalue shift: {max_shift:.3e}; t_m = {snapped.t_m:.6f}")
     return 0
 
 
@@ -220,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="samples across the window (default 200/unit)")
     p_sim.add_argument("--raw-time", action="store_true",
                        help="report raw t instead of t*J_max")
-    p_sim.add_argument("--out", default=".", help="output directory")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_rec = sub.add_parser("reconstruct",
                            help="persymmetric chain from a spectrum")
@@ -232,29 +230,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="energy shift applied to the pinched spectrum")
     p_rec.add_argument("--convention", choices=("negative", "positive"),
                        default="negative", help="coupling sign convention")
-    p_rec.add_argument("--out", default=".", help="output directory")
-    p_rec.set_defaults(func=cmd_reconstruct)
 
     p_snap = sub.add_parser("snap", help="round a spectrum onto the PST family")
     p_snap.add_argument("spectrum", help="spectrum JSON file")
     p_snap.add_argument("--p", type=int, required=True, help="odd pinch value")
-    p_snap.add_argument("--out", default=".", help="output directory")
-    p_snap.set_defaults(func=cmd_snap)
 
     p_opt = sub.add_parser("optimize", help="genetic search over on-site energies")
     p_opt.add_argument("config", help="GA config JSON file")
     p_opt.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_opt.add_argument("--out", default=".", help="output directory")
-    p_opt.set_defaults(func=cmd_optimize)
 
     p_ana = sub.add_parser("analyze", help="particle-analogue diagnostics")
     p_ana.add_argument("chain", help="chain JSON file")
     p_ana.add_argument("--p", type=int, default=None, help="pinch value (inferred if absent)")
     p_ana.add_argument("--gamma", type=float, default=None,
                        help="level spacing (inferred if absent)")
-    p_ana.add_argument("--out", default=".", help="output directory")
-    p_ana.set_defaults(func=cmd_analyze)
 
     p_swp = sub.add_parser("sweep", help="coupling-deviation sweep over (N, p)")
     p_swp.add_argument("--n-min", type=int, default=4)
@@ -262,9 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--p-list", default="3,5,7,9,11,13",
                        help="comma-separated odd pinch values")
     p_swp.add_argument("--alpha", type=float, default=0.5)
-    p_swp.add_argument("--out", default=".", help="output directory")
-    p_swp.set_defaults(func=cmd_sweep)
 
+    for command, func in ((p_sim, cmd_simulate), (p_rec, cmd_reconstruct), (p_snap, cmd_snap),
+                          (p_opt, cmd_optimize), (p_ana, cmd_analyze), (p_swp, cmd_sweep)):
+        command.add_argument("--out", default=".", help="output directory")
+        command.set_defaults(func=func)
     return parser
 
 

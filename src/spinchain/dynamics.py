@@ -26,6 +26,7 @@ from .chain import EigenSystem
 from .errors import integer, positive, real
 
 PEAK_FLOOR = 0.5
+PEAK_TOL = 1e-6  # width in t*J_max to which a peak's bracket is narrowed
 SAMPLES_PER_UNIT = 200  # default trace density: 10,000 samples per 50-unit window
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -146,12 +147,11 @@ class FidelityTrace:
     j_max: float = 1.0
 
 
-def _refine_peaks(es: EigenSystem, j_max: float, a: np.ndarray, b: np.ndarray,
-                  tol: float = 1e-6) -> np.ndarray:
+def _refine_peaks(es: EigenSystem, j_max: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Golden-section maximization of F on every bracket [a, b] at once.
 
     Each bracket runs the scalar search's iterates, to its own ``b - a <=
-    tol``: a step moves the bracket ends of the active rows and evaluates
+    PEAK_TOL``: a step moves the bracket ends of the active rows and evaluates
     one new point per row. F is ``transfer_fidelity``'s arithmetic
     row-wise: the same amplitude sum, ``np.hypot`` for ``abs()`` and
     Python's ``** 2``, so every comparison, and the final midpoints
@@ -168,7 +168,7 @@ def _refine_peaks(es: EigenSystem, j_max: float, a: np.ndarray, b: np.ndarray,
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = np.split(fid(np.concatenate([x1, x2])), 2)
-    live = np.flatnonzero(b - a > tol)
+    live = np.flatnonzero(b - a > PEAK_TOL)
     while live.size:
         up = f1[live] < f2[live]
         i, k = live[up], live[~up]
@@ -178,7 +178,7 @@ def _refine_peaks(es: EigenSystem, j_max: float, a: np.ndarray, b: np.ndarray,
         b[k], x2[k], f2[k] = x2[k], x1[k], f1[k]
         x1[k] = b[k] - GOLDEN * (b[k] - a[k])
         f2[i], f1[k] = np.split(fid(np.concatenate([x2[i], x1[k]])), [i.size])
-        live = live[b[live] - a[live] > tol]
+        live = live[b[live] - a[live] > PEAK_TOL]
     return 0.5 * (a + b)
 
 
@@ -187,9 +187,9 @@ def trace(es: EigenSystem, window: float = 50.0, samples: int | None = None,
     """Sample F and <F_av> over t*J_max in [0, window]; locate revival peaks.
 
     ``samples`` defaults to 200 per dimensionless unit. Every local maximum
-    of the grid above 0.5 is refined to 1e-6 in t*J_max by one golden-section
-    search run on all brackets [x[i-1], x[i+1]] at once; the reported F is
-    ``transfer_fidelity`` at the final midpoint.
+    of the grid above PEAK_FLOOR is refined to PEAK_TOL in t*J_max by one
+    golden-section search run on all brackets [x[i-1], x[i+1]] at once; the
+    reported F is ``transfer_fidelity`` at the final midpoint.
     """
     j_max = positive("j_max", j_max)
     window = positive("window", window)

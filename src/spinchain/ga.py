@@ -192,20 +192,13 @@ def _spectral_stage(genomes: np.ndarray, cfg: GAConfig):
 
 def _grid_stage(lam: np.ndarray, w: np.ndarray, cfg: GAConfig):
     """Grid F_max and its t*J_max for every row of ``_spectral_stage``'s
-    (lam, w), through ``dynamics.fidelity_grid`` over chunks of rows to bound
-    memory."""
-    rows = lam.shape[0]
+    (lam, w), all in one ``dynamics.fidelity_grid`` call: a caller passes at
+    most FITNESS_GRID_CHUNK rows, which bounds its memory."""
+    step = cfg.window / (cfg.samples - 1)
     # the window is in t*J_max units; with |J| uniform, J_max = |coupling|
-    dt = cfg.window / (cfg.samples - 1) / abs(cfg.coupling)
-    f_max = np.empty(rows)
-    t_best = np.empty(rows)
-    for lo in range(0, rows, FITNESS_GRID_CHUNK):
-        chunk = slice(lo, lo + FITNESS_GRID_CHUNK)
-        f = fidelity_grid(lam[chunk], w[chunk], dt, cfg.samples)
-        best_idx = np.argmax(f, axis=1)
-        f_max[chunk] = f[np.arange(len(f)), best_idx]
-        t_best[chunk] = best_idx * (cfg.window / (cfg.samples - 1))
-    return f_max, t_best
+    f = fidelity_grid(lam, w, step / abs(cfg.coupling), cfg.samples)
+    best = np.argmax(f, axis=1)
+    return f[np.arange(len(f)), best], best * step
 
 
 def _shaped(f_max, upsilon: np.ndarray, cfg: GAConfig) -> np.ndarray:
@@ -220,9 +213,13 @@ def _shaped(f_max, upsilon: np.ndarray, cfg: GAConfig) -> np.ndarray:
 
 def _evaluate_block(genomes: np.ndarray, cfg: GAConfig):
     """Fitness, F_max, upsilon, Q, sigma and best time of every genome in a
-    (pop, half) block: the full scorer, every row through the grid."""
+    (pop, half) block: the full scorer, every row through the grid, one
+    FITNESS_GRID_CHUNK of rows at a time."""
     lam, w, upsilon, q, sigma = _spectral_stage(genomes, cfg)
-    f_max, t_best = _grid_stage(lam, w, cfg)
+    f_max, t_best = np.empty(len(lam)), np.empty(len(lam))
+    for lo in range(0, len(lam), FITNESS_GRID_CHUNK):
+        rows = slice(lo, lo + FITNESS_GRID_CHUNK)
+        f_max[rows], t_best[rows] = _grid_stage(lam[rows], w[rows], cfg)
     return _shaped(f_max, upsilon, cfg), f_max, upsilon, q, sigma, t_best
 
 

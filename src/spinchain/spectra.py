@@ -23,10 +23,11 @@ PST_TOL = 1e-9        # residual relative to the mean gap
 class Spectrum:
     """Ascending eigenvalues, optionally tagged with pinch metadata.
 
-    ``spacing`` is the base level spacing (2*alpha) and ``p`` the odd pinch
-    denominator when the spectrum comes from the pinched family; ``t_m`` is
-    the mirror time if known. Each is None or passes its rule (``odd_pinch``
-    for ``p``, ``positive`` for the others), which gives the value stored.
+    The spread, top value minus bottom, must be finite. ``spacing`` is the
+    base level spacing (2*alpha) and ``p`` the odd pinch denominator when the
+    spectrum comes from the pinched family; ``t_m`` is the mirror time if
+    known. Each is None or passes its rule (``odd_pinch`` for ``p``,
+    ``positive`` for the others), which gives the value stored.
     """
 
     values: tuple[float, ...]
@@ -40,6 +41,7 @@ class Spectrum:
             raise ValueError("spectrum needs at least 2 eigenvalues")
         if not all(map(operator.lt, self.values, self.values[1:])):
             raise ValueError("eigenvalues must be strictly ascending")
+        real("eigenvalue spread", self.values[-1] - self.values[0])
         if self.p is not None:
             object.__setattr__(self, "p", odd_pinch(self.p))
         for name in ("spacing", "t_m"):

@@ -555,7 +555,8 @@ class TestMirrorSolves:
         assert sizes == [s for s in ((n + 1) // 2, n // 2) if s > 1]
         values, vectors = solve_mirror_columns(d, e)
         assert es.values.tobytes() == values.tobytes()
-        # read before vectors, which drops the blocks that end_weights is built from
+        # built from the blocks whichever is read first: vectors reads it before
+        # it drops them
         assert es.end_weights.tobytes() == (vectors[0] * vectors[-1]).tobytes()
         assert es.vectors.tobytes() == vectors.tobytes()
 
@@ -715,6 +716,16 @@ class TestEigendecomposeFailures:
         assert "\n" not in msg
         assert msg.startswith("eigendecompose:")
         assert "N=5" in msg and figure in msg
+
+    def test_dstevd_info(self, monkeypatch, qpst_chain):
+        dstevd = lapack.dstevd
+
+        def failing(d, e, compute_v):
+            return (*dstevd(d, e, compute_v=compute_v)[:2], 1)
+        monkeypatch.setattr(lapack, "dstevd", failing)
+        with pytest.raises(NumericalError) as info:
+            diagonalize_chain(qpst_chain)
+        assert str(info.value) == "eigendecompose: dstevd did not converge (N=5)"
 
 
 def dense_gram_figure(vectors):

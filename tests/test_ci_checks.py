@@ -4,6 +4,7 @@ output-check table can pass vacuously."""
 import importlib.util
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -88,3 +89,20 @@ def test_peaks_fails_below_the_floor(env):
     checks.peaks("peaks.json", 0.99)
     with pytest.raises(AssertionError, match="no refined peak with F >= 0.999999999"):
         checks.peaks("peaks.json", 1.0 - 1e-9)
+
+
+def test_analyze_row_fails_on_a_changed_report(env):
+    checks.analyze_pinched(env, 41)
+    path = Path("a/diagnostics.json")
+    report = json.loads(path.read_text())
+    spread = 39 + 1 / 3
+    checks.diagnostics(path.as_posix(), 41, spread)
+    for field, value, message in [
+        ("nodes", list(range(40)), "nodes are not 0..40"),
+        ("x_pairs", report["x_pairs"][1:], "19 x pairs, not 20"),
+        ("zero_mode", False, "zero_mode is False"),
+        ("ladder_residual", 1e-12, "ladder residual 1.000e-12 above 2e-14 x spread"),
+    ]:
+        path.write_text(json.dumps({**report, field: value}))
+        with pytest.raises(AssertionError, match=re.escape(f"a/diagnostics.json: {message}")):
+            checks.diagnostics(path.as_posix(), 41, spread)

@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -611,6 +612,21 @@ class TestExitContract:
         out = tmp_path / "o"
         assert main([command, str(path), *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", VALID_INPUTS["spectrum"][2])
+    def test_spectrum_spread_overflows(self, tmp_path, capsys, argv):
+        # finite, distinct and ascending values whose top - bottom overflows
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"values": [-1e308, 0.0, 1e308]}))
+        command, *flags = argv
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, str(path), *flags, "--out", str(out)]) == 2
+        assert caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: eigenvalue spread must be finite, got inf"]
         assert not out.exists()
 
     @pytest.mark.parametrize("top", [[1, 2], [], "abc", 3, 2.5, None, True])

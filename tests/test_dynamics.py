@@ -129,6 +129,11 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(qpst_es, 0, -1.0)
 
+    @pytest.mark.parametrize("site", [-1, 5])
+    def test_site_out_of_range_rejected(self, qpst_es, site):
+        with pytest.raises(ValueError, match=f"^initial_site {site} out of range for n=5$"):
+            propagate(qpst_es, site, 1.0)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, qpst_es, t):
         with pytest.raises(ValueError, match="finite"):

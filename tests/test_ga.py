@@ -1,5 +1,7 @@
 """Genetic optimizer: spectral scores, fitness shaping, evolution loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -88,6 +90,9 @@ class TestMutationRate:
         with pytest.raises(ValueError):
             mutation_rate(11, cfg)
 
+    def test_zero_generations_is_mu_i(self):
+        assert mutation_rate(0, small_config(generations=0, mu_i=0.2, mu_f=0.01)) == 0.2
+
 
 class TestFitness:
     def test_qpst_reference_genome(self):
@@ -116,6 +121,11 @@ class TestFitness:
         ind = GAIndividual(genome=(1.0, 2.0, 3.0))
         assert np.array_equal(ind.expand_onsite(5), [1.0, 2.0, 3.0, 2.0, 1.0])
         assert np.array_equal(ind.expand_onsite(6), [1.0, 2.0, 3.0, 3.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_individual_wrong_genome_length(self, n):
+        with pytest.raises(ValueError, match=f"^genome length 3 does not fit n={n}$"):
+            GAIndividual(genome=(1.0, 2.0, 3.0)).expand_onsite(n)
 
 
 @st.composite
@@ -184,6 +194,20 @@ class TestFidelityGrid:
         for got, column in zip(_evaluate_block(genomes[picked], cfg), block):
             assert np.array_equal(got, column[picked])
 
+    def test_block_grids_a_chunk_at_a_time(self):
+        # 1024 rows of (9, 9) peak at ~2.5 MiB when gridded FITNESS_GRID_CHUNK
+        # rows at a time, and at ~55 MiB in one grid
+        cfg = GAConfig(n=9, p=9)
+        genomes = np.random.default_rng(9).uniform(0.0, 5.0, (1024, cfg.genome_length))
+        _evaluate_block(genomes[:FITNESS_GRID_CHUNK], cfg)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            _evaluate_block(genomes, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
     @pytest.mark.parametrize("n, p", [(4, 3), (5, 3), (9, 9)])
     def test_block_matches_direct_grid(self, n, p):
         # a full seeded population against the direct exp(-i lam t) grid of
@@ -216,6 +240,12 @@ class TestEvolve:
     def test_history_rows(self):
         report = evolve(small_config(generations=5))
         assert [h["generation"] for h in report.history] == list(range(6))
+
+    @pytest.mark.parametrize("shape", [(32, 3), (30, 2), (64,)])
+    def test_initial_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError) as info:
+            evolve(small_config(), initial=np.ones(shape))
+        assert str(info.value) == f"initial population must have shape (32, 2), got {shape}"
 
     def test_zero_generations_returns_initial_best(self):
         report = evolve(small_config(generations=0))
@@ -405,6 +435,16 @@ class TestConfigValidation:
     def test_even_p_rejected(self):
         with pytest.raises(ValueError):
             small_config(p=2)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 3, "GA spectral penalty needs at least 4 sites"),
+        ("generations", -1, "generations must be nonnegative"),
+        ("coupling", 0.0, "coupling must be nonzero"),
+        ("samples", 1, "need at least 2 fidelity samples"),
+    ])
+    def test_out_of_range_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            small_config(**{field: value})
 
     def test_mu_ordering(self):
         with pytest.raises(ValueError):

@@ -166,6 +166,12 @@ class TestReconstruct:
         with pytest.raises(NumericalError, match="spectrum misses the input by"):
             reconstruct(pst5_spectrum)
 
+    def test_reduction_info_raises(self, monkeypatch, pst5_spectrum):
+        dsytrd = lapack.dsytrd
+        monkeypatch.setattr(lapack, "dsytrd", lambda a, **kwargs: (*dsytrd(a, **kwargs)[:4], -3))
+        with pytest.raises(NumericalError, match=r"^reconstruct: dsytrd failed \(info -3\)$"):
+            reconstruct(pst5_spectrum)
+
     def test_matches_stieltjes_reference(self):
         rng = np.random.default_rng(2025)
         worst = 0.0

@@ -51,6 +51,7 @@ class TestSpectrum:
         ((None, 1.0), ValueError, "eigenvalues must be finite"),
         ((0.0, 1j), ValueError, "eigenvalues must be finite"),
         (([0.0], 1.0), ValueError, "eigenvalues must be finite"),
+        ((-1e308, 0.0, 1e308), ValueError, "eigenvalue spread must be finite, got inf"),
     ])
     def test_rejects(self, values, exc, message):
         with pytest.raises(exc) as info:
@@ -77,6 +78,10 @@ class TestPinchedSpectrum:
     def test_even_p_rejected(self):
         with pytest.raises(ValueError):
             PinchSpec(n=5, p=2, alpha=0.5)
+
+    def test_one_level_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 2 levels$"):
+            PinchSpec(n=1, p=3, alpha=0.5)
 
     @pytest.mark.parametrize("n, p", [(np.int64(5), np.int32(3)), (np.int16(4), 1)])
     def test_numpy_integers_accepted(self, n, p):
@@ -189,6 +194,10 @@ class TestSnap:
         with pytest.raises(ValueError):
             snap_to_pst(Spectrum(values=QPST_VALUES), p=4)
 
+    def test_two_values_rejected(self):
+        with pytest.raises(ValueError, match="^snapping needs at least 3 eigenvalues$"):
+            snap_to_pst(Spectrum(values=(0.0, 1.0)), p=3)
+
 
 class TestInferPinch:
     @settings(max_examples=80, deadline=None)
@@ -208,6 +217,11 @@ class TestInferPinch:
     def test_non_increasing_gap_raises(self, values):
         with pytest.raises(ValueError, match="cannot infer pinch parameters"):
             infer_pinch(np.array(values))
+
+    def test_nonpositive_fitted_spacing_raises(self):
+        # both end gaps are positive, but the levels fall overall
+        with pytest.raises(ValueError, match="^degenerate fit: nonpositive level spacing$"):
+            infer_pinch(np.array([0.0, 1.0, -10.0, -9.5]))
 
 
 class TestSpectralSymmetry:
