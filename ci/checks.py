@@ -35,6 +35,9 @@ CLOSED_FORM_TOL = 5e-12
 # ladder_residual of analyze over the spectral spread: 5.9e-15 measured for the
 # pinched N = 2047 chain (p = 3) at one BLAS thread
 LADDER_TOL = 2e-14
+# t_m of check_pst_condition against a snapped file's own, relative: 4.7e-15
+# measured for the near-pinched N = 41 spectrum (p = 3) at one BLAS thread
+SNAP_TM_TOL = 1e-12
 
 
 def check(ok, message):
@@ -180,6 +183,27 @@ def analyze_pinched(env, n):
     diagnostics("a/diagnostics.json", n, values[-1] - values[0])
 
 
+def snapped(path):
+    """``path``'s spectrum passes ``check_pst_condition``, whose t_m is the
+    file's within SNAP_TM_TOL."""
+    s = sc.Spectrum.from_dict(json.loads(Path(path).read_text()))
+    pst = sc.check_pst_condition(s)
+    check(pst.valid, f"{path}: not a PST spectrum (residual {pst.max_residual:.3e})")
+    miss = abs(pst.t_m - s.t_m) / s.t_m
+    check(miss <= SNAP_TM_TOL, f"{path}: t_m misses the file's by {miss:.3e}")
+
+
+def snap_pinched(env):
+    """Two identical snap runs of a pinched N = 41 spectrum (p = 3, alpha = 1/2)
+    with 1e-3 noise, whose result passes ``snapped`` and reconstructs."""
+    values = np.array(sc.pinched_spectrum(sc.PinchSpec(n=41, p=3, alpha=0.5)).values)
+    values += 1e-3 * np.random.default_rng(41).standard_normal(41)
+    Path("spectrum.json").write_text(json.dumps({"values": values.tolist()}))
+    twice(env, [["snap", "spectrum.json", "--p", "3"]], ["spectrum_pst.json", "snap_diff.json"])
+    snapped("a/spectrum_pst.json")
+    cli(env, "reconstruct", "a/spectrum_pst.json", "--out", "rec")
+
+
 ROWS = (  # name, environment, body, the body's arguments after the environment
     ("cold start: optimize loads no scipy", {"PYTHONPROFILEIMPORTTIME": "1"}, cold_start),
     ("optimize reruns, N = 5, population 256, 20 generations", {}, optimize_reruns),
@@ -199,6 +223,7 @@ ROWS = (  # name, environment, body, the body's arguments after the environment
     ("simulate 5-site quasi-PST, window 400, refined peaks", ONE_THREAD, simulate_qpst),
     ("analyze pinched N = 2047 reruns, zero mode, 1023 pairs", ONE_THREAD, analyze_pinched,
      2047),
+    ("snap near-pinched N = 41 reruns, PST, reconstructs", ONE_THREAD, snap_pinched),
     ("malformed JSON inputs exit 2", {}, malformed_json),
 )
 

@@ -20,6 +20,7 @@ from .spectra import _pinched_offsets
 
 UNIFORM_TOL = 1e-9
 PINCHED_FORM_TOL = 1e-6
+ANTICOMMUTATOR_TOL = 1e-10
 _PAIR_TOL = 1e-9
 
 
@@ -153,23 +154,13 @@ def build_ladder(es: EigenSystem, p: int, gamma: float) -> LadderPair:
     return LadderPair(sub=sub, gamma=gamma, p=p)
 
 
-@dataclass(frozen=True)
-class PositionOperator:
+def position_operator(ladder: LadderPair) -> np.ndarray:
     """Discrete position X = (a_dag + a)/2 in the energy eigenbasis.
 
     Tridiagonal there: X connects eigenstates of neighbouring energy, hence
     of opposite mirror parity, which is why it anticommutes with the mirror.
-    The momentum partner P = (a - a_dag)/(2i) is kept for completeness.
     """
-
-    x: np.ndarray
-    momentum: np.ndarray
-
-
-def position_operator(ladder: LadderPair) -> PositionOperator:
-    x = 0.5 * (ladder.raise_op + ladder.lower_op)
-    momentum = (ladder.lower_op - ladder.raise_op) / 2j
-    return PositionOperator(x=x, momentum=momentum)
+    return 0.5 * (ladder.raise_op + ladder.lower_op)
 
 
 def mirror_in_eigenbasis(es: EigenSystem) -> np.ndarray:
@@ -189,29 +180,27 @@ class PairingReport:
     zero_mode: bool
 
 
-def _pair_off(x_values: np.ndarray, pair_tol: float = _PAIR_TOL) -> tuple:
+def _pair_off(x_values: np.ndarray) -> tuple:
     """(+-x pairs, zero mode) of X's ascending eigenvalues."""
     half = x_values.size // 2
     pairs = tuple(zip(x_values[:half].tolist(), x_values[::-1][:half].tolist()))
-    return pairs, bool(x_values.size % 2 == 1 and abs(x_values[half]) <= pair_tol)
+    return pairs, bool(x_values.size % 2 == 1 and abs(x_values[half]) <= _PAIR_TOL)
 
 
-def pairing_check(xop: PositionOperator, m_eigenbasis: np.ndarray,
-                  anticomm_tol: float = 1e-10,
-                  pair_tol: float = _PAIR_TOL) -> PairingReport:
-    """Verify {X, M} = 0 and the +-x pairing of X's spectrum.
+def pairing_check(x: np.ndarray, m_eigenbasis: np.ndarray) -> PairingReport:
+    """Verify {X, M} = 0 (within ANTICOMMUTATOR_TOL) and the +-x pairing of X's
+    spectrum.
 
-    For odd dimension one eigenvalue must sit at zero (within ``pair_tol``);
+    For odd dimension one eigenvalue must sit at zero (within ``_PAIR_TOL``);
     even dimensions pair off completely.
     """
-    x = xop.x
     anti = x @ m_eigenbasis + m_eigenbasis @ x
     anorm = float(np.abs(anti).max())
     xvals = band_values(np.diag(x), np.diag(x, 1))  # X is tridiagonal
     residual = float(np.abs(xvals + xvals[::-1]).max())
-    pairs, zero_mode = _pair_off(xvals, pair_tol)
+    pairs, zero_mode = _pair_off(xvals)
     return PairingReport(
-        anticommutes=bool(anorm <= anticomm_tol),
+        anticommutes=bool(anorm <= ANTICOMMUTATOR_TOL),
         anticommutator_norm=anorm,
         x_values=tuple(float(v) for v in xvals),
         pairs=pairs,

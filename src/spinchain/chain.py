@@ -56,6 +56,7 @@ RESIDUAL_TILE = 64  # eigenvector rows per tile of the banded residual check
 # dense Gram product: dotting that many pairs would cost about as much
 PAIR_BUDGET_DIVISOR = 128
 MIRROR_TOL = 1e-9
+PARITY_TOL = 1e-8
 
 
 def known_convention(convention) -> str:
@@ -470,12 +471,10 @@ def _solve_checked(d: np.ndarray, e: np.ndarray, h_max: float,
 
 
 def eigendecompose(h) -> EigenSystem:
-    """Diagonalize a real symmetric tridiagonal matrix.
+    """Diagonalize a real symmetric tridiagonal matrix given as its bands.
 
-    ``h`` is the dense N x N matrix or a tuple ``(diagonal, off_diagonal)``
-    of its bands. A dense matrix is checked for structure (square,
-    tridiagonal, symmetric within 1e-12) and reduced to its diagonal and upper
-    band; the solve and its eigenpair checks see only those.
+    ``h`` is the pair ``(diagonal, off_diagonal)``, of shapes (N,) and
+    (N-1,); anything else is refused with ``ValueError``.
 
     A palindromic matrix is solved as its even and odd half-size blocks, each
     checked on its own bands with the same tolerances; its eigenvectors are
@@ -491,27 +490,16 @@ def eigendecompose(h) -> EigenSystem:
     ``NumericalError`` if ``dstevd`` fails to converge or its eigenpairs fail
     the orthonormality or residual check.
     """
-    if isinstance(h, tuple):
-        d, e = (np.asarray(band, dtype=float) for band in h)
-        if d.ndim != 1 or e.shape != (d.size - 1,):
-            raise ValueError(f"expected bands of lengths N and N-1, "
-                             f"got shapes {d.shape} and {e.shape}")
-    else:
-        h = np.asarray(h, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1] or not h.size:
-            raise ValueError(f"expected a non-empty square matrix, got shape {h.shape}")
-        if not np.isfinite(h).all():
-            raise ValueError("matrix entries must be finite")
-        if np.triu(h, 2).any() or np.tril(h, -2).any():
-            raise ValueError("matrix is not tridiagonal")
-        d, e = np.diag(h), np.diag(h, 1)
-        if np.abs(e - np.diag(h, -1)).max(initial=0.0) > 1e-12 * max(1.0, np.abs(h).max()):
-            raise ValueError("matrix is not symmetric")
+    shapes = [np.shape(band) for band in h] if isinstance(h, tuple) else [np.shape(h)]
+    if len(shapes) != 2 or len(shapes[0]) != 1 or shapes[1] != (shapes[0][0] - 1,):
+        raise ValueError("expected bands (diagonal, off-diagonal) of shapes (N,) and "
+                         f"(N-1,), got {' and '.join(map(str, shapes))}")
+    d, e = (np.asarray(band, dtype=float) for band in h)
     n = d.size
     d_max, e_max = np.abs(d).max(), np.abs(e).max(initial=0.0)
     # refused here: dstevd returns NaN eigenpairs with info 0 for infinite bands
     if not (math.isfinite(d_max) and math.isfinite(e_max)):
-        raise ValueError("matrix entries must be finite")
+        raise ValueError("band entries must be finite")
     h_max = max(d_max, e_max)
 
     if n > 1 and _mirror_violation(d, e) == 0.0:
@@ -534,33 +522,33 @@ def mirror_operator(n: int) -> np.ndarray:
     return np.fliplr(np.eye(n))
 
 
-def check_mirror_symmetry(spec: ChainSpec, tol: float = MIRROR_TOL) -> tuple[bool, float]:
+def check_mirror_symmetry(spec: ChainSpec) -> tuple[bool, float]:
     """Is the chain palindromic (persymmetric Hamiltonian)?
 
     Returns (symmetric, largest violation): the ``_mirror_violation`` of the
     Hamiltonian's bands, so of the on-site profile and the coupling-magnitude
     profile against their reversals. This judges a design, which may come
-    from a file or from arithmetic that rounds, so it allows ``tol``; only
-    ``eigendecompose``'s block split needs exact symmetry.
+    from a file or from arithmetic that rounds, so it allows MIRROR_TOL;
+    only ``eigendecompose``'s block split needs exact symmetry.
     """
     violation = float(_mirror_violation(*_bands(spec)))
-    return violation <= tol, violation
+    return violation <= MIRROR_TOL, violation
 
 
-def eigenstate_parity(es: EigenSystem, tol: float = 1e-8) -> list[int]:
+def eigenstate_parity(es: EigenSystem) -> list[int]:
     """Parity (+1 even / -1 odd) of each eigenstate under the mirror operator.
 
     Only defined for mirror-symmetric chains, where every eigenstate is
-    either even or odd; a state that is neither signals a non-symmetric
-    chain and raises ``ValueError``.
+    either even or odd; a state that is neither (beyond PARITY_TOL) signals
+    a non-symmetric chain and raises ``ValueError``.
     """
     overlaps = np.einsum("ik,ik->k", es.vectors, es.vectors[::-1])
-    bad = np.flatnonzero(np.abs(np.abs(overlaps) - 1.0) > tol)
+    bad = np.flatnonzero(np.abs(np.abs(overlaps) - 1.0) > PARITY_TOL)
     if bad.size:
         k = bad[0]
         raise ValueError(
             f"eigenstate {k} has |mirror overlap| - 1 = "
-            f"{abs(overlaps[k]) - 1.0:.3e} (tol {tol:g}, N={es.n}); "
+            f"{abs(overlaps[k]) - 1.0:.3e} (tol {PARITY_TOL:g}, N={es.n}); "
             "chain is not mirror-symmetric"
         )
     return [1 if overlap > 0 else -1 for overlap in overlaps]

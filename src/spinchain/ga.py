@@ -62,6 +62,9 @@ class GAConfig:
         object.__setattr__(self, "bounds", reals("bounds", self.bounds))
         if len(self.bounds) != 2 or self.bounds[1] <= self.bounds[0]:
             raise ValueError(f"bounds must be an increasing pair, got {self.bounds!r}")
+        # the scales of the initial draw and of a mutation step
+        width = real("bounds width", self.bounds[1] - self.bounds[0])
+        real("mutation width", self.mutation_width_frac * width)
         if type(self.seed_parabolic) is not bool:
             raise ValueError(f"seed_parabolic must be a bool, got {self.seed_parabolic!r}")
         for name in ("a", "b", "mutation_width_frac"):
@@ -78,6 +81,8 @@ class GAConfig:
             raise ValueError("need mu_i >= mu_f >= 0")
         if self.coupling == 0.0:
             raise ValueError("coupling must be nonzero")
+        # the grid spans raw times up to window / |coupling|
+        positive("window / |coupling|", self.window / abs(self.coupling))
         if self.samples < 2:
             raise ValueError("need at least 2 fidelity samples")
 
@@ -109,10 +114,9 @@ class GAIndividual:
             raise ValueError(f"genome length {len(g)} does not fit n={n}")
         return np.concatenate([g, g[: n - len(g)][::-1]])
 
-    def to_chain(self, n: int, sign_convention: str = "negative") -> ChainSpec:
-        couplings = (abs(self.coupling),) * (n - 1)
-        return ChainSpec(onsite=self.expand_onsite(n), couplings=couplings,
-                         sign_convention=sign_convention)
+    def to_chain(self, n: int) -> ChainSpec:
+        """The n-site chain, in the negative coupling convention."""
+        return ChainSpec(onsite=self.expand_onsite(n), couplings=(abs(self.coupling),) * (n - 1))
 
 
 @dataclass(frozen=True)

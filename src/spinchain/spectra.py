@@ -17,21 +17,21 @@ from .errors import integer, odd_pinch, positive, real, reals
 
 MAX_ODD_DIVISOR = 61  # candidate gap divisors 1, 3, ..., 61
 PST_TOL = 1e-9        # residual relative to the mean gap
+SYMMETRY_TOL = 1e-9   # spread of lambda_k + lambda_{N+1-k} relative to max(1, |lambda|)
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Ascending eigenvalues, optionally tagged with pinch metadata.
 
-    The spread, top value minus bottom, must be finite. ``spacing`` is the
-    base level spacing (2*alpha) and ``p`` the odd pinch denominator when the
-    spectrum comes from the pinched family; ``t_m`` is the mirror time if
-    known. Each is None or passes its rule (``odd_pinch`` for ``p``,
-    ``positive`` for the others), which gives the value stored.
+    The spread, top value minus bottom, must be finite. ``p`` is the odd
+    pinch denominator when the spectrum comes from the pinched family and
+    ``t_m`` the mirror time if known. Each is None or passes its rule
+    (``odd_pinch`` for ``p``, ``positive`` for ``t_m``), which gives the
+    value stored.
     """
 
     values: tuple[float, ...]
-    spacing: float | None = None
     p: int | None = None
     t_m: float | None = None
 
@@ -44,9 +44,8 @@ class Spectrum:
         real("eigenvalue spread", self.values[-1] - self.values[0])
         if self.p is not None:
             object.__setattr__(self, "p", odd_pinch(self.p))
-        for name in ("spacing", "t_m"):
-            if (value := getattr(self, name)) is not None:
-                object.__setattr__(self, name, positive(name, value))
+        if self.t_m is not None:
+            object.__setattr__(self, "t_m", positive("t_m", self.t_m))
 
     @property
     def n(self) -> int:
@@ -99,8 +98,7 @@ def pinched_spectrum(ps: PinchSpec, shift: float = 0.0) -> Spectrum:
     shift = real("shift", shift)
     values = alpha * np.arange(1 - n, n, 2, dtype=float) + shift
     values[-1] = values[-2] + 2.0 * alpha / p
-    return Spectrum(values=values, spacing=2.0 * alpha, p=p,
-                    t_m=p * np.pi / (2.0 * alpha))
+    return Spectrum(values=values, p=p, t_m=p * np.pi / (2.0 * alpha))
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,6 @@ class PstCheck:
     t_m: float
     q: tuple[int, ...]
     max_residual: float
-    delta: float
 
 
 def check_pst_condition(s: Spectrum, tol: float = PST_TOL) -> PstCheck:
@@ -143,7 +140,6 @@ def check_pst_condition(s: Spectrum, tol: float = PST_TOL) -> PstCheck:
         t_m=float(np.pi / delta),
         q=tuple(q.tolist()),
         max_residual=residual,
-        delta=delta,
     )
 
 
@@ -172,8 +168,7 @@ def snap_to_pst(s: Spectrum, p: int) -> Spectrum:
     p = odd_pinch(p)
     lam0, gamma = _pinched_fit(s.values, p)
     snapped = lam0 + gamma * _pinched_offsets(s.n, p)
-    return Spectrum(values=snapped, spacing=gamma, p=p,
-                    t_m=float(p * np.pi / gamma))
+    return Spectrum(values=snapped, p=p, t_m=float(p * np.pi / gamma))
 
 
 def infer_pinch(values) -> tuple[int, float]:
@@ -192,12 +187,12 @@ def infer_pinch(values) -> tuple[int, float]:
     return p, _pinched_fit(values, p)[1]
 
 
-def spectral_symmetry_check(s: Spectrum, tol: float = 1e-9) -> bool:
-    """True iff the spectrum is symmetric about its center.
+def spectral_symmetry_check(s: Spectrum) -> bool:
+    """True iff the spectrum is symmetric about its center (within SYMMETRY_TOL).
 
     Symmetric spectra reconstruct to chains with uniform on-site energies, so
     this flags when on-site engineering is not actually needed.
     """
     values = np.asarray(s.values)
     sums = values + values[::-1]
-    return bool(np.abs(sums - sums.mean()).max() <= tol * max(1.0, np.abs(values).max()))
+    return bool(np.abs(sums - sums.mean()).max() <= SYMMETRY_TOL * max(1.0, np.abs(values).max()))

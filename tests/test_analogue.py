@@ -187,7 +187,7 @@ class TestLadder:
 class TestPositionOperator:
     def test_matrix_elements_closed_form(self, pst5_es):
         p, gamma, n = 3, 1.0, 5
-        x = position_operator(build_ladder(pst5_es, p=p, gamma=gamma)).x
+        x = position_operator(build_ladder(pst5_es, p=p, gamma=gamma))
         for k in range(n - 1):
             step = k + 1.0 - (1.0 - 1.0 / p) * (k == n - 2)
             expected = 0.5 * np.sqrt(gamma) * np.sqrt(step)
@@ -195,13 +195,9 @@ class TestPositionOperator:
             assert x[k, k + 1] == pytest.approx(expected, rel=1e-14)
 
     def test_tridiagonal_in_eigenbasis(self, pst5_es):
-        x = position_operator(build_ladder(pst5_es, p=3, gamma=1.0)).x
+        x = position_operator(build_ladder(pst5_es, p=3, gamma=1.0))
         off = np.abs(x - np.diag(np.diag(x, 1), 1) - np.diag(np.diag(x, -1), -1))
         assert off.max() <= 1e-12
-
-    def test_momentum_hermitian(self, pst5_es):
-        mom = position_operator(build_ladder(pst5_es, p=3, gamma=1.0)).momentum
-        assert np.abs(mom - mom.conj().T).max() <= 1e-14
 
 
 class TestMirrorEigenbasis:
@@ -212,8 +208,8 @@ class TestMirrorEigenbasis:
 
 class TestPairing:
     def test_five_site(self, pst5_es):
-        xop = position_operator(build_ladder(pst5_es, p=3, gamma=1.0))
-        report = pairing_check(xop, mirror_in_eigenbasis(pst5_es))
+        x = position_operator(build_ladder(pst5_es, p=3, gamma=1.0))
+        report = pairing_check(x, mirror_in_eigenbasis(pst5_es))
         assert report.anticommutes
         assert len(report.pairs) == 2
         assert report.zero_mode
@@ -221,8 +217,8 @@ class TestPairing:
 
     def test_four_site(self):
         es = diagonalize_chain(pst_chain(4, 3))
-        xop = position_operator(build_ladder(es, p=3, gamma=1.0))
-        report = pairing_check(xop, mirror_in_eigenbasis(es))
+        x = position_operator(build_ladder(es, p=3, gamma=1.0))
+        report = pairing_check(x, mirror_in_eigenbasis(es))
         assert report.anticommutes
         assert len(report.pairs) == 2
         assert not report.zero_mode
@@ -232,13 +228,13 @@ class TestPairing:
         # X's spectrum from its bands against the dense solver, bit for bit
         chain = reconstruct(pinched_spectrum(PinchSpec(n=n, p=3, alpha=0.5), shift=-2.74))
         es = diagonalize_chain(chain)
-        xop = position_operator(build_ladder(es, p=3, gamma=1.0))
-        report = pairing_check(xop, mirror_in_eigenbasis(es))
-        assert report.x_values == tuple(np.linalg.eigvalsh(xop.x).tolist())
+        x = position_operator(build_ladder(es, p=3, gamma=1.0))
+        report = pairing_check(x, mirror_in_eigenbasis(es))
+        assert report.x_values == tuple(np.linalg.eigvalsh(x).tolist())
 
     def test_pairs_are_negatives(self, pst5_es):
-        xop = position_operator(build_ladder(pst5_es, p=3, gamma=1.0))
-        report = pairing_check(xop, mirror_in_eigenbasis(pst5_es))
+        x = position_operator(build_ladder(pst5_es, p=3, gamma=1.0))
+        report = pairing_check(x, mirror_in_eigenbasis(pst5_es))
         for lo, hi in report.pairs:
             assert lo == pytest.approx(-hi, abs=1e-9)
 

@@ -91,6 +91,22 @@ def test_peaks_fails_below_the_floor(env):
         checks.peaks("peaks.json", 1.0 - 1e-9)
 
 
+def test_snap_row_fails_on_a_perturbed_value(env):
+    checks.snap_pinched(env)
+    path = Path("a/spectrum_pst.json")
+    spectrum = json.loads(path.read_text())
+    checks.snapped(path.as_posix())
+    values = list(spectrum["values"])
+    values[20] += 1e-6
+    for field, value, message in [
+        ("values", values, "not a PST spectrum (residual "),
+        ("t_m", spectrum["t_m"] * (1.0 + 1e-11), "t_m misses the file's by "),
+    ]:
+        path.write_text(json.dumps({**spectrum, field: value}))
+        with pytest.raises(AssertionError, match=re.escape(f"a/spectrum_pst.json: {message}")):
+            checks.snapped(path.as_posix())
+
+
 def test_analyze_row_fails_on_a_changed_report(env):
     checks.analyze_pinched(env, 41)
     path = Path("a/diagnostics.json")

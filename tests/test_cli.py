@@ -629,6 +629,21 @@ class TestExitContract:
         assert lines == ["error: eigenvalue spread must be finite, got inf"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("bounds", [-1e308, 1e308], "bounds width must be finite, got inf"),
+        ("mutation_width_frac", 1e308, "mutation width must be finite, got inf"),
+        ("coupling", 1e-320, "window / |coupling| must be positive and finite, got inf"),
+    ])
+    def test_ga_config_scale_overflows(self, tmp_path, capsys, field, value, message):
+        # finite fields whose initial draw or time grid would overflow
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 4, "p": 3, "generations": 1, "population": 4,
+                                    "samples": 21, field: value}))
+        out = tmp_path / "o"
+        assert main(["optimize", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("top", [[1, 2], [], "abc", 3, 2.5, None, True])
     @pytest.mark.parametrize("argv", [
         argv for _, _, commands in VALID_INPUTS.values() for argv in commands

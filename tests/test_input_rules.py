@@ -64,7 +64,7 @@ ENTRY_POINTS = {
 NOT_ODD = [2, 0, -1]
 NOT_INTEGER = [3.0, 3.7, True, "3", None]
 # optional fields, where None stands for "not given"
-OPTIONAL = {"Spectrum.p", "Spectrum.spacing", "Spectrum.t_m"}
+OPTIONAL = {"Spectrum.p", "Spectrum.t_m"}
 
 
 class TestRules:
@@ -251,7 +251,6 @@ REAL_ENTRY_POINTS = {
     "ChainSpec.couplings": ("reals", "on-site energies and couplings",
                             lambda x: ChainSpec(onsite=(0.0, 0.0), couplings=(x,))),
     "Spectrum.values": ("reals", "eigenvalues", lambda x: Spectrum(values=(-1.0, x))),
-    "Spectrum.spacing": ("positive", "spacing", lambda x: Spectrum(values=(-1.0, 1.0), spacing=x)),
     "Spectrum.t_m": ("positive", "t_m", lambda x: Spectrum(values=(-1.0, 1.0), t_m=x)),
     "average_fidelity": ("real", "f_transfer", average_fidelity),
 }
@@ -336,8 +335,8 @@ class TestRealEntryPoints:
 
 class TestRealCallers:
     def test_spectrum_metadata_none_is_not_given(self):
-        s = Spectrum(values=PST5_VALUES, spacing=None, p=None, t_m=None)
-        assert (s.spacing, s.p, s.t_m) == (None, None, None)
+        s = Spectrum(values=PST5_VALUES, p=None, t_m=None)
+        assert (s.p, s.t_m) == (None, None)
         assert Spectrum.from_dict({"values": list(PST5_VALUES)}) == s
 
     @pytest.mark.parametrize("field, value", [("a", True), ("window", True), ("a", "0.5"),

@@ -133,7 +133,7 @@ class TestReconstruct:
             if np.diff(values).min() < 1e-3:
                 continue
             chain = reconstruct(Spectrum(values=tuple(values)))
-            ok, violation = check_mirror_symmetry(chain, tol=0.0)
+            ok, violation = check_mirror_symmetry(chain)
             assert ok and violation == 0.0
 
     @settings(max_examples=100, deadline=None)
@@ -143,7 +143,7 @@ class TestReconstruct:
         chain = reconstruct(s)
         es = diagonalize_chain(chain)
         assert np.abs(es.values - lam).max() <= 1e-10 * (lam[-1] - lam[0])
-        assert check_mirror_symmetry(chain, tol=0.0) == (True, 0.0)
+        assert check_mirror_symmetry(chain) == (True, 0.0)
 
     def test_mirror_blocks_hold_alternate_levels(self):
         for n in (2, 3, 4, 5, 12, 41, 85):
