@@ -490,7 +490,10 @@ def eigendecompose(h) -> EigenSystem:
     ``NumericalError`` if ``dstevd`` fails to converge or its eigenpairs fail
     the orthonormality or residual check.
     """
-    shapes = [np.shape(band) for band in h] if isinstance(h, tuple) else [np.shape(h)]
+    try:
+        shapes = [np.shape(band) for band in h] if isinstance(h, tuple) else [np.shape(h)]
+    except ValueError:  # a ragged sequence has no shape
+        shapes = [type(h).__name__]
     if len(shapes) != 2 or len(shapes[0]) != 1 or shapes[1] != (shapes[0][0] - 1,):
         raise ValueError("expected bands (diagonal, off-diagonal) of shapes (N,) and "
                          f"(N-1,), got {' and '.join(map(str, shapes))}")

@@ -199,6 +199,12 @@ class TestPositionOperator:
         off = np.abs(x - np.diag(np.diag(x, 1), 1) - np.diag(np.diag(x, -1), -1))
         assert off.max() <= 1e-12
 
+    def test_real_symmetric(self, pst5_es):
+        # X is Hermitian: pairing_check reads its spectrum off the upper band
+        x = position_operator(build_ladder(pst5_es, p=3, gamma=1.0))
+        assert x.dtype == np.float64
+        assert np.array_equal(x, x.T)
+
 
 class TestMirrorEigenbasis:
     def test_diagonal_alternating(self, pst5_es):
@@ -222,6 +228,14 @@ class TestPairing:
         assert report.anticommutes
         assert len(report.pairs) == 2
         assert not report.zero_mode
+
+    @pytest.mark.parametrize("centre, zero_mode", [(0.5e-9, True), (-1e-9, True),
+                                                   (2e-9, False)])
+    def test_zero_mode_within_pair_tolerance(self, centre, zero_mode):
+        # the middle eigenvalue of an odd X counts as zero within 1e-9
+        x = np.diag([-1.0, centre, 1.0])
+        report = pairing_check(x, np.eye(3)[::-1])
+        assert report.zero_mode is zero_mode
 
     @pytest.mark.parametrize("n", [2, 5, 40, 85])
     def test_x_spectrum_equals_dense_eigvalsh(self, n):

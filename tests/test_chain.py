@@ -301,6 +301,11 @@ class TestEigendecompose:
         (np.zeros((3, 1)), np.ones(2)),
         (np.zeros(0), np.ones(0)),
         (np.zeros(3), np.ones((2, 1))),
+        (np.zeros(3), np.ones(2), np.ones(2)),
+        (np.zeros(3),),
+        [np.zeros(3), np.ones(2)],
+        (np.zeros(3), [[1.0], [1.0, 2.0]]),
+        4.2,
     ])
     def test_rejects_misshaped_bands(self, bands):
         with pytest.raises(ValueError, match=re.escape(
@@ -410,6 +415,19 @@ class TestMirrorSplit:
         sizes = recorded_solver_sizes(monkeypatch)
         es = diagonalize_chain(off)
         assert sizes == [9]
+        h = build_hamiltonian(off)
+        assert np.abs(h @ es.vectors - es.vectors * es.values).max() <= 1e-10 * np.abs(h).max()
+
+    def test_one_ulp_off_mirror_coupling_takes_full_path(self, monkeypatch):
+        # the off-diagonal band is mirror-tested too, not only the diagonal
+        chain = random_mirror_chain(np.random.default_rng(6), 6)
+        couplings = list(chain.couplings)
+        couplings[1] = np.nextafter(couplings[1], np.inf)
+        off = ChainSpec(onsite=chain.onsite, couplings=tuple(couplings))
+        assert check_mirror_symmetry(off)[0]
+        sizes = recorded_solver_sizes(monkeypatch)
+        es = diagonalize_chain(off)
+        assert sizes == [6]
         h = build_hamiltonian(off)
         assert np.abs(h @ es.vectors - es.vectors * es.values).max() <= 1e-10 * np.abs(h).max()
 

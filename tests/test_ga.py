@@ -123,6 +123,12 @@ class TestFitness:
         assert np.array_equal(ind.expand_onsite(5), [1.0, 2.0, 3.0, 2.0, 1.0])
         assert np.array_equal(ind.expand_onsite(6), [1.0, 2.0, 3.0, 3.0, 2.0, 1.0])
 
+    def test_individual_chain_in_negative_convention(self):
+        chain = GAIndividual(genome=(1.0, 2.0), coupling=-0.7).to_chain(4)
+        assert chain.sign_convention == "negative"
+        assert chain.couplings == (0.7, 0.7, 0.7)
+        assert chain.onsite == (1.0, 2.0, 2.0, 1.0)
+
     @pytest.mark.parametrize("n", [4, 7])
     def test_individual_wrong_genome_length(self, n):
         with pytest.raises(ValueError, match=f"^genome length 3 does not fit n={n}$"):

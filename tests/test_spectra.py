@@ -246,3 +246,9 @@ class TestSpectralSymmetry:
 
     def test_any_two_level_symmetric(self):
         assert spectral_symmetry_check(Spectrum(values=(-3.0, 17.2)))
+
+    @pytest.mark.parametrize("delta, symmetric", [(1e-9, True), (3e-9, False)])
+    def test_tolerance(self, delta, symmetric):
+        # the pair sums (delta, 0, delta) spread 2 delta / 3 about their mean
+        values = (-1.0, 0.0, 1.0 + delta)
+        assert spectral_symmetry_check(Spectrum(values=values)) is symmetric
