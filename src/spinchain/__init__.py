@@ -14,7 +14,6 @@ from .chain import (
     diagonalize_chain,
     eigendecompose,
     eigenstate_parity,
-    mirror_operator,
 )
 from .dynamics import (
     FidelityTrace,
@@ -43,7 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainSpec", "EigenSystem", "build_hamiltonian", "check_mirror_symmetry",
-    "diagonalize_chain", "eigendecompose", "eigenstate_parity", "mirror_operator",
+    "diagonalize_chain", "eigendecompose", "eigenstate_parity",
     "FidelityTrace", "average_fidelity", "propagate", "revival_peaks", "trace",
     "transfer_fidelity", "transition_amplitude",
     "NumericalError",

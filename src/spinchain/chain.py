@@ -159,8 +159,8 @@ class EigenSystem:
 class _MirrorSystem(EigenSystem):
     """A palindromic chain's eigensystem, held as its two checked mirror blocks.
 
-    ``values`` are the blocks' eigenvalues, even block first, sorted, and the
-    blocks are kept with each sorted state's parity (+1 even, -1 odd).
+    ``values`` are the blocks' eigenvalues, even block first, sorted, and
+    ``_parity`` is each sorted state's parity (+1 even, -1 odd), its block.
     ``end_weights`` is built from the blocks; ``vectors`` is assembled from
     them on its first read, after ``end_weights``, and the blocks are dropped.
     """
@@ -168,17 +168,17 @@ class _MirrorSystem(EigenSystem):
     def __init__(self, values: np.ndarray, even: np.ndarray, odd: np.ndarray):
         order = np.argsort(values, kind="stable")
         object.__setattr__(self, "values", values[order])
-        parity = np.where(order < len(even), 1.0, -1.0)
-        object.__setattr__(self, "_blocks", (order, parity, even, odd))
+        object.__setattr__(self, "_parity", np.where(order < len(even), 1.0, -1.0))
+        object.__setattr__(self, "_blocks", (order, even, odd))
 
     @cached_property
     def end_weights(self) -> np.ndarray:
         # V[0, k] = +-x_k and V[N-1, k] = +-x_k * parity_k, one sign for both,
         # x_k the block vector's first component over sqrt(2): the product
         # x * (x * parity) is V[0] * V[-1] bit for bit
-        order, parity, even, odd = self._blocks
+        order, even, odd = self._blocks
         x = np.concatenate([even[:, 0], odd[:, 0]])[order] * np.sqrt(0.5)
-        return x * (x * parity)
+        return x * (x * self._parity)
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -190,7 +190,7 @@ class _MirrorSystem(EigenSystem):
         half reversed, negated for odd rows.
         """
         self.end_weights  # built from the blocks before they are dropped
-        order, parity, even, odd = self.__dict__.pop("_blocks")
+        order, even, odd = self.__dict__.pop("_blocks")
         n = order.size
         m = n // 2
         row = np.empty(n, dtype=np.intp)
@@ -210,7 +210,7 @@ class _MirrorSystem(EigenSystem):
         del even, odd  # freed before the sign fix's buffers
         # the top half holds each vector's largest component
         _fix_row_signs(vt[:, : n - m])
-        np.multiply(vt[:, m - 1:: -1], parity[:, None], out=vt[:, n - m:])
+        np.multiply(vt[:, m - 1:: -1], self._parity[:, None], out=vt[:, n - m:])
         return vt.T
 
 
@@ -274,17 +274,10 @@ def mirror_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the palindromic chain with bands (d, e), so either
     sign of ``e`` gives the same: one ``band_values`` call over its two blocks
     laid end to end with a zero coupling between them, where ``dsterf`` splits
-    them, solves each on its own and sorts all the values. If that call fails,
-    the blocks are solved one at a time, so the error names the failing block."""
-    blocks = mirror_bands(d, e, d.size)
-    (even_d, even_e), (odd_d, odd_e) = blocks
-    try:
-        return band_values(np.concatenate([even_d, odd_d]),
-                           np.concatenate([even_e, [0.0], odd_e]))
-    except NumericalError:
-        for block in blocks:
-            band_values(*block)
-        raise
+    them, solves each on its own and sorts all the values."""
+    (even_d, even_e), (odd_d, odd_e) = mirror_bands(d, e, d.size)
+    return band_values(np.concatenate([even_d, odd_d]),
+                       np.concatenate([even_e, [0.0], odd_e]))
 
 
 def mirror_spectra(d: np.ndarray, e: np.ndarray, n: int):
@@ -520,11 +513,6 @@ def diagonalize_chain(spec: ChainSpec) -> EigenSystem:
     return eigendecompose(_bands(spec))
 
 
-def mirror_operator(n: int) -> np.ndarray:
-    """The anti-diagonal permutation M, M_ij = delta_{i, n+1-j}. M^2 = I."""
-    return np.fliplr(np.eye(n))
-
-
 def check_mirror_symmetry(spec: ChainSpec) -> tuple[bool, float]:
     """Is the chain palindromic (persymmetric Hamiltonian)?
 
@@ -543,8 +531,11 @@ def eigenstate_parity(es: EigenSystem) -> list[int]:
 
     Only defined for mirror-symmetric chains, where every eigenstate is
     either even or odd; a state that is neither (beyond PARITY_TOL) signals
-    a non-symmetric chain and raises ``ValueError``.
+    a non-symmetric chain and raises ``ValueError``. An exactly palindromic
+    chain's states are exact mirror eigenstates: their parity is their block.
     """
+    if isinstance(es, _MirrorSystem):
+        return es._parity.astype(int).tolist()
     overlaps = np.einsum("ik,ik->k", es.vectors, es.vectors[::-1])
     bad = np.flatnonzero(np.abs(np.abs(overlaps) - 1.0) > PARITY_TOL)
     if bad.size:

@@ -51,17 +51,18 @@ def _write_json(path: Path, obj) -> None:
 def _write_rows(path: Path, header: str, columns) -> None:
     """Write ``header`` and the stacked columns as ``%.12g`` CSV rows.
 
-    Integer columns below 1e12 print as ``%d`` would. Rows are formatted a
-    block of ``CSV_BLOCK_ROWS`` at a time, so only one block's values and
-    text are held at once.
+    Integer columns below 1e12 print as ``%d`` would. Rows are stacked and
+    formatted a block of ``CSV_BLOCK_ROWS`` at a time, so only one block's
+    stacked values and text are held at once.
     """
     from ._csvtext import format_block  # its tables are built on the first write
 
-    rows = np.column_stack(columns)
+    columns = [np.asarray(column) for column in columns]
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            fh.write(format_block(rows[start:start + CSV_BLOCK_ROWS]))
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            fh.write(format_block(np.column_stack(
+                [column[start:start + CSV_BLOCK_ROWS] for column in columns])))
 
 
 def _write_manifest(out_dir: Path, subcommand: str, inputs: list[str],

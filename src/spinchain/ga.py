@@ -9,11 +9,13 @@ lower gaps equal).
 Scoring runs in two stages: the batched spectral solve and gap scores of
 every new genome, then the fidelity grid. The spectrum alone bounds the
 fitness (F <= 1), so ``evolve`` grids only the genomes that selection could
-still keep; ``_evaluate_block`` and ``fitness`` grid every row.
+still keep (``_score_fresh``); ``_evaluate_block``, which ``fitness`` calls,
+is ``_score_fresh`` with nothing pruned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -207,24 +209,27 @@ def _grid_stage(lam: np.ndarray, w: np.ndarray, cfg: GAConfig):
 
 def _shaped(f_max, upsilon: np.ndarray, cfg: GAConfig) -> np.ndarray:
     """(a F - b upsilon) / (a F + b upsilon), 0 where the denominator is not
-    positive and -inf where the quotient is not finite."""
-    denom = cfg.a * f_max + cfg.b * upsilon
+    positive and -inf where the quotient is not finite.
+
+    The quotient does not change when a and b are scaled together, so a
+    larger of 1 or more is brought below 1 by a power of two: exact while no
+    term leaves the normal range, and a F + b upsilon cannot overflow for
+    finite a and b."""
+    scale = 2.0 ** -max(math.frexp(max(cfg.a, cfg.b))[1], 0)
+    a, b = cfg.a * scale, cfg.b * scale
+    denom = a * f_max + b * upsilon
     with np.errstate(divide="ignore", invalid="ignore"):
-        fitness = np.where(denom > 0.0,
-                           (cfg.a * f_max - cfg.b * upsilon) / denom, 0.0)
+        fitness = np.where(denom > 0.0, (a * f_max - b * upsilon) / denom, 0.0)
     return np.where(np.isfinite(fitness), fitness, -np.inf)
 
 
 def _evaluate_block(genomes: np.ndarray, cfg: GAConfig):
     """Fitness, F_max, upsilon, Q, sigma and best time of every genome in a
-    (pop, half) block: the full scorer, every row through the grid, one
-    FITNESS_GRID_CHUNK of rows at a time."""
-    lam, w, upsilon, q, sigma = _spectral_stage(genomes, cfg)
-    f_max, t_best = np.empty(len(lam)), np.empty(len(lam))
-    for lo in range(0, len(lam), FITNESS_GRID_CHUNK):
-        rows = slice(lo, lo + FITNESS_GRID_CHUNK)
-        f_max[rows], t_best[rows] = _grid_stage(lam[rows], w[rows], cfg)
-    return _shaped(f_max, upsilon, cfg), f_max, upsilon, q, sigma, t_best
+    (rows, half) block: ``_score_fresh`` with k = rows, so every row is gridded."""
+    rows = len(genomes)
+    scores = tuple(np.empty(rows) for _ in range(6))
+    _score_fresh(scores, genomes, np.arange(rows), rows, cfg)
+    return scores
 
 
 def _score_fresh(scores, genomes: np.ndarray, fresh: np.ndarray, k: int,
@@ -340,7 +345,6 @@ def evolve(cfg: GAConfig, initial: np.ndarray | None = None) -> GAReport:
     for g in range(1, cfg.generations + 1):
         mu = mutation_rate(g, cfg)
         order = np.argsort(-scores[0], kind="stable")
-        elite = genomes[order[0]].copy()
         parents = genomes[order[: pop // 2]]
 
         ia = rng.integers(0, pop // 2, size=pop - 1)
@@ -356,7 +360,7 @@ def evolve(cfg: GAConfig, initial: np.ndarray | None = None) -> GAReport:
         children = children + mutate * rng.normal(0.0, 1.0, size=(pop - 1, half)) * width
         np.clip(children, lo, hi, out=children)
 
-        genomes = np.vstack([elite[None, :], children])
+        genomes = np.vstack([genomes[order[:1]], children])
         # a row equal to a parent is that parent's genome: copy its scores;
         # the rest (src -1) are scored below
         src = np.empty(pop, dtype=np.intp)

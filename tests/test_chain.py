@@ -22,7 +22,6 @@ from spinchain import (
     diagonalize_chain,
     eigendecompose,
     eigenstate_parity,
-    mirror_operator,
     pinched_spectrum,
     reconstruct,
     trace,
@@ -417,6 +416,8 @@ class TestMirrorSplit:
         assert sizes == [9]
         h = build_hamiltonian(off)
         assert np.abs(h @ es.vectors - es.vectors * es.values).max() <= 1e-10 * np.abs(h).max()
+        # its parity comes from the overlap test, the exact palindrome's from its blocks
+        assert eigenstate_parity(es) == eigenstate_parity(diagonalize_chain(chain))
 
     def test_one_ulp_off_mirror_coupling_takes_full_path(self, monkeypatch):
         # the off-diagonal band is mirror-tested too, not only the diagonal
@@ -530,23 +531,23 @@ class TestMirrorSolves:
         assert es.end_weights.tobytes() == (vectors[0] * vectors[-1]).tobytes()
         assert es.vectors.tobytes() == vectors.tobytes()
 
-    @pytest.mark.parametrize("failing, n", [((9, 5, 4), 5), ((9, 4), 4), ((9,), 9)])
-    def test_joint_dsterf_failure_names_the_failing_block(self, monkeypatch, failing, n):
-        # the two blocks (5 and 4 rows) are solved alone only after the joint
-        # 9-row call fails; the first that fails alone is named, else the joint call
+    @pytest.mark.parametrize("failing", [(9, 5, 4), (9, 4), (9,)])
+    def test_joint_dsterf_failure_names_the_chain(self, monkeypatch, failing):
+        # the two blocks (5 and 4 rows) are solved in one 9-row call: its
+        # failure names the chain, whichever block would fail alone
         dsterf = lapack.dsterf
 
         def fake(d, e):
             return (d.copy(), 1) if d.size in failing else dsterf(d, e)
         monkeypatch.setattr(lapack, "dsterf", fake)
         d, e = hamiltonian_bands(random_mirror_chain(np.random.default_rng(3), 9))
-        with pytest.raises(NumericalError, match=rf"dsterf did not converge \(info 1, N={n}\)"):
+        with pytest.raises(NumericalError, match=r"dsterf did not converge \(info 1, N=9\)"):
             mirror_values(d, e)
 
     def test_dsterf_failure_raises(self, monkeypatch):
         monkeypatch.setattr(lapack, "dsterf", lambda d, e: (d.copy(), 1))
         d, e = hamiltonian_bands(random_mirror_chain(np.random.default_rng(3), 9))
-        with pytest.raises(NumericalError, match=r"dsterf did not converge \(info 1, N=5\)"):
+        with pytest.raises(NumericalError, match=r"dsterf did not converge \(info 1, N=9\)"):
             mirror_values(d, e)
         with pytest.raises(NumericalError, match="dsterf did not converge"):
             band_values(d, e)
@@ -858,12 +859,6 @@ class TestGapOrthonormalityCheck:
 
 
 class TestMirror:
-    def test_mirror_operator_involution(self):
-        for n in (2, 3, 6):
-            m = mirror_operator(n)
-            assert np.array_equal(m @ m, np.eye(n))
-            assert np.array_equal(m, m.T)
-
     def test_qpst_chain_symmetric(self, qpst_chain):
         ok, violation = check_mirror_symmetry(qpst_chain)
         assert ok
@@ -913,10 +908,24 @@ class TestParity:
         # eigenstates, so chains with near-degenerate doublets are accepted too
         for chain in seed13_mirror_chains():
             es = diagonalize_chain(chain)
-            m = mirror_operator(chain.n)
+            m = np.eye(chain.n)[::-1]
             overlaps = np.array([phi @ m @ phi for phi in es.vectors.T])
             assert np.abs(np.abs(overlaps) - 1.0).max() <= 1e-8
             assert eigenstate_parity(es) == [1 if o > 0 else -1 for o in overlaps]
+
+    def test_palindrome_builds_no_vectors(self):
+        # the parity of an exact palindrome's state is its mirror block: the
+        # N x N overlap test took 46 MiB here
+        es = diagonalize_chain(christandl_chain(2048, 1.0))
+        tracemalloc.start()
+        try:
+            parities = eigenstate_parity(es)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parities == [(-1) ** k for k in range(2048)]
+        assert "vectors" not in es.__dict__
+        assert peak < 2**20
 
     def test_near_degenerate_doublet_chain(self):
         # draw 10 of seed 13: n = 39, exactly palindromic, lowest gap 1.9e-12;

@@ -399,6 +399,21 @@ class TestOptimize:
         expected = ("\n".join(lines) + "\n").encode("utf-8")
         assert (out / "history.csv").read_bytes() == expected
 
+    def test_huge_shaping_weights(self, tmp_path):
+        # a and b scale together: 1e308 each searches as a = b = 1 does,
+        # and a F + b upsilon does not overflow
+        histories = []
+        for weight in (1e308, 1.0):
+            path = tmp_path / f"ga{weight:g}.json"
+            path.write_text(json.dumps({"n": 4, "p": 3, "generations": 5,
+                                        "population": 16, "a": weight, "b": weight}))
+            out = tmp_path / f"o{weight:g}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["optimize", str(path), "--out", str(out)]) == 0
+            histories.append((out / "history.csv").read_bytes())
+        assert histories[0] == histories[1]
+
     def test_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n": 4, "p": 2}))

@@ -1,5 +1,6 @@
 """Genetic optimizer: spectral scores, fitness shaping, evolution loop."""
 
+import math
 import re
 import tracemalloc
 
@@ -95,6 +96,11 @@ class TestMutationRate:
         assert mutation_rate(0, small_config(generations=0, mu_i=0.2, mu_f=0.01)) == 0.2
 
 
+# any finite a or b, and magnitudes spread evenly over the exponent range
+SHAPING_WEIGHTS = st.one_of(st.floats(0.0, 1e308),
+                            st.floats(-60.0, 1023.0).map(lambda x: 2.0 ** x))
+
+
 class TestFitness:
     def test_qpst_reference_genome(self):
         cfg = GAConfig(n=5, p=3)
@@ -117,6 +123,36 @@ class TestFitness:
             rep = fitness(ind, cfg)
             assert -1.0 <= rep.fitness <= 1.0
             assert rep.upsilon >= 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=SHAPING_WEIGHTS, b=SHAPING_WEIGHTS,
+           f_max=st.lists(st.floats(0.0, F_CEILING), min_size=1, max_size=16),
+           upsilon=st.lists(st.one_of(st.floats(0.0, 1e300),
+                                      st.floats(-60.0, 60.0).map(lambda x: 2.0 ** x)),
+                            min_size=16, max_size=16))
+    @example(a=1e308, b=1e308, f_max=[1.0], upsilon=[1.0] * 16)
+    @example(a=1e300, b=1e-10, f_max=[0.9, 0.0], upsilon=[1e-3, 2.0] + [1.0] * 14)
+    @example(a=0.0, b=2.225073858507e-311, f_max=[0.0], upsilon=[0.0] * 16)
+    def test_shaping_scale_is_exact(self, a, b, f_max, upsilon):
+        # a and b scaled by a power of two: the unscaled formula's bits
+        # wherever it is finite and every term stays in the normal range,
+        # and in [-1, 1] also where the unscaled a F + b upsilon overflows
+        cfg = GAConfig(n=4, p=3, a=a, b=b)
+        f_max = np.array(f_max)
+        upsilon = np.array(upsilon[: f_max.size])
+        got = _shaped(f_max, upsilon, cfg)
+        assert np.all(np.abs(got) <= 1.0)
+        with np.errstate(all="ignore"):
+            terms = [a * f_max, b * upsilon]
+            terms += [terms[0] - terms[1], terms[0] + terms[1]]
+            unscaled = np.where(terms[3] > 0.0, terms[2] / terms[3], 0.0)
+            scale = 2.0 ** -max(math.frexp(max(a, b))[1], 0)
+            tiny = np.finfo(float).tiny
+            exact = np.isfinite(unscaled)
+            for t in [np.array([[a], [b]])] + terms:
+                normal = [(np.abs(x) >= tiny) & np.isfinite(x) for x in (t, t * scale)]
+                exact &= np.all((t == 0.0) | (normal[0] & normal[1]), axis=0)
+        assert np.array_equal(got[exact].view(np.uint64), unscaled[exact].view(np.uint64))
 
     def test_individual_expansion_palindromic(self):
         ind = GAIndividual(genome=(1.0, 2.0, 3.0))
