@@ -531,11 +531,8 @@ def eigenstate_parity(es: EigenSystem) -> list[int]:
 
     Only defined for mirror-symmetric chains, where every eigenstate is
     either even or odd; a state that is neither (beyond PARITY_TOL) signals
-    a non-symmetric chain and raises ``ValueError``. An exactly palindromic
-    chain's states are exact mirror eigenstates: their parity is their block.
+    a non-symmetric chain and raises ``ValueError``.
     """
-    if isinstance(es, _MirrorSystem):
-        return es._parity.astype(int).tolist()
     overlaps = np.einsum("ik,ik->k", es.vectors, es.vectors[::-1])
     bad = np.flatnonzero(np.abs(np.abs(overlaps) - 1.0) > PARITY_TOL)
     if bad.size:

@@ -211,12 +211,12 @@ def _shaped(f_max, upsilon: np.ndarray, cfg: GAConfig) -> np.ndarray:
     """(a F - b upsilon) / (a F + b upsilon), 0 where the denominator is not
     positive and -inf where the quotient is not finite.
 
-    The quotient does not change when a and b are scaled together, so a
-    larger of 1 or more is brought below 1 by a power of two: exact while no
-    term leaves the normal range, and a F + b upsilon cannot overflow for
-    finite a and b."""
-    scale = 2.0 ** -max(math.frexp(max(cfg.a, cfg.b))[1], 0)
-    a, b = cfg.a * scale, cfg.b * scale
+    The quotient does not change when a and b are scaled together, so both
+    are scaled by the power of two that brings the larger into [0.5, 1): exact
+    while no term leaves the normal range, and a F + b upsilon cannot
+    overflow for finite a and b."""
+    e = math.frexp(max(cfg.a, cfg.b))[1]
+    a, b = math.ldexp(cfg.a, -e), math.ldexp(cfg.b, -e)
     denom = a * f_max + b * upsilon
     with np.errstate(divide="ignore", invalid="ignore"):
         fitness = np.where(denom > 0.0, (a * f_max - b * upsilon) / denom, 0.0)

@@ -416,7 +416,7 @@ class TestMirrorSplit:
         assert sizes == [9]
         h = build_hamiltonian(off)
         assert np.abs(h @ es.vectors - es.vectors * es.values).max() <= 1e-10 * np.abs(h).max()
-        # its parity comes from the overlap test, the exact palindrome's from its blocks
+        # one ulp off the mirror, its states keep the exact palindrome's parities
         assert eigenstate_parity(es) == eigenstate_parity(diagonalize_chain(chain))
 
     def test_one_ulp_off_mirror_coupling_takes_full_path(self, monkeypatch):
@@ -912,20 +912,6 @@ class TestParity:
             overlaps = np.array([phi @ m @ phi for phi in es.vectors.T])
             assert np.abs(np.abs(overlaps) - 1.0).max() <= 1e-8
             assert eigenstate_parity(es) == [1 if o > 0 else -1 for o in overlaps]
-
-    def test_palindrome_builds_no_vectors(self):
-        # the parity of an exact palindrome's state is its mirror block: the
-        # N x N overlap test took 46 MiB here
-        es = diagonalize_chain(christandl_chain(2048, 1.0))
-        tracemalloc.start()
-        try:
-            parities = eigenstate_parity(es)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert parities == [(-1) ** k for k in range(2048)]
-        assert "vectors" not in es.__dict__
-        assert peak < 2**20
 
     def test_near_degenerate_doublet_chain(self):
         # draw 10 of seed 13: n = 39, exactly palindromic, lowest gap 1.9e-12;

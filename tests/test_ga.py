@@ -1,6 +1,5 @@
 """Genetic optimizer: spectral scores, fitness shaping, evolution loop."""
 
-import math
 import re
 import tracemalloc
 
@@ -133,25 +132,32 @@ class TestFitness:
     @example(a=1e308, b=1e308, f_max=[1.0], upsilon=[1.0] * 16)
     @example(a=1e300, b=1e-10, f_max=[0.9, 0.0], upsilon=[1e-3, 2.0] + [1.0] * 14)
     @example(a=0.0, b=2.225073858507e-311, f_max=[0.0], upsilon=[0.0] * 16)
+    @example(a=1e-10, b=3e-12, f_max=[0.5, 1e-300], upsilon=[0.25, 1e-300] + [1.0] * 14)
     def test_shaping_scale_is_exact(self, a, b, f_max, upsilon):
-        # a and b scaled by a power of two: the unscaled formula's bits
-        # wherever it is finite and every term stays in the normal range,
-        # and in [-1, 1] also where the unscaled a F + b upsilon overflows
+        # the unscaled formula's bits wherever each of a, b, a F, b upsilon,
+        # their difference and their sum is exactly zero (not by underflow)
+        # or a finite t with |t| and |t| / (2 max(a, b)) both normal, so that
+        # any common scaling of a and b to a larger in [0.5, 1) keeps every
+        # term normal; and in [-1, 1] everywhere, also where the unscaled
+        # a F + b upsilon overflows
         cfg = GAConfig(n=4, p=3, a=a, b=b)
         f_max = np.array(f_max)
         upsilon = np.array(upsilon[: f_max.size])
         got = _shaped(f_max, upsilon, cfg)
         assert np.all(np.abs(got) <= 1.0)
+        floor = np.finfo(float).tiny * max(1.0, 2.0 * max(a, b))
+
+        def normal(t, zero):
+            return zero | (np.isfinite(t) & (np.abs(t) >= floor))
+
         with np.errstate(all="ignore"):
-            terms = [a * f_max, b * upsilon]
-            terms += [terms[0] - terms[1], terms[0] + terms[1]]
-            unscaled = np.where(terms[3] > 0.0, terms[2] / terms[3], 0.0)
-            scale = 2.0 ** -max(math.frexp(max(a, b))[1], 0)
-            tiny = np.finfo(float).tiny
-            exact = np.isfinite(unscaled)
-            for t in [np.array([[a], [b]])] + terms:
-                normal = [(np.abs(x) >= tiny) & np.isfinite(x) for x in (t, t * scale)]
-                exact &= np.all((t == 0.0) | (normal[0] & normal[1]), axis=0)
+            af, bu = a * f_max, b * upsilon
+            diff, denom = af - bu, af + bu
+            unscaled = np.where(denom > 0.0, diff / denom, 0.0)
+        exact = (np.isfinite(unscaled) & normal(a, a == 0.0) & normal(b, b == 0.0)
+                 & normal(af, (a == 0.0) | (f_max == 0.0))
+                 & normal(bu, (b == 0.0) | (upsilon == 0.0))
+                 & normal(diff, diff == 0.0) & normal(denom, denom == 0.0))
         assert np.array_equal(got[exact].view(np.uint64), unscaled[exact].view(np.uint64))
 
     def test_individual_expansion_palindromic(self):
